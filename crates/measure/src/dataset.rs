@@ -9,9 +9,10 @@
 //! simulator — exactly how the paper's artifact consumers work with its
 //! released captures.
 
+use crate::executor::Executor;
 use crate::session::{SessionResult, SessionSpec};
 use ran::kpi::{KpiTrace, CHUNK_RECORDS};
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -193,15 +194,19 @@ impl Dataset {
         )
     }
 
-    /// Canonical JSON encoding of one session record. Serialises straight
-    /// from the borrowed result — the columnar trace is encoded column by
-    /// column, never cloned.
-    fn encode_session(result: &SessionResult) -> io::Result<String> {
-        let record = Value::Object(vec![
-            ("spec".to_string(), result.spec.to_value()),
-            ("trace".to_string(), result.trace.to_value()),
-        ]);
-        serde_json::to_string(&record).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+    /// Stream the canonical JSON encoding of one session record into `w`:
+    /// `{"spec":…,"trace":…}`. The spec is small and goes through
+    /// `serde_json::to_string`; the trace is written column by column
+    /// straight from its chunks by [`KpiTrace::write_json`], through a
+    /// bounded buffer, so no value tree or whole-file string is built.
+    /// Export and checkpoint both encode through here, so their files
+    /// are byte-identical.
+    fn write_session_to<W: io::Write>(w: &mut W, result: &SessionResult) -> io::Result<()> {
+        let spec = serde_json::to_string(&result.spec)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+        w.write_all(format!("{{\"spec\":{spec},\"trace\":").as_bytes())?;
+        result.trace.write_json(w)?;
+        w.write_all(b"}")
     }
 
     /// A sibling of `root` carrying the given suffix — staging and
@@ -223,8 +228,23 @@ impl Dataset {
     /// would trip over; a previous export at `root` is replaced
     /// wholesale, so stale session files from an older, larger campaign
     /// cannot shadow the new manifest.
+    ///
+    /// Session files are encoded in parallel, one file per work item on
+    /// [`Executor::from_env`]; the manifest lists them in `results` order
+    /// whatever order they finish in, so the directory is byte-identical
+    /// at any thread count.
     pub fn export(
         &self,
+        description: &str,
+        results: &[SessionResult],
+    ) -> io::Result<DatasetManifest> {
+        self.export_on(&Executor::from_env(), description, results)
+    }
+
+    /// [`Dataset::export`] on an explicit executor.
+    pub(crate) fn export_on(
+        &self,
+        executor: &Executor,
         description: &str,
         results: &[SessionResult],
     ) -> io::Result<DatasetManifest> {
@@ -233,19 +253,21 @@ impl Dataset {
         let _ = std::fs::remove_dir_all(&staging);
         let staged = Dataset::at(&staging);
         let manifest = (|| -> io::Result<DatasetManifest> {
-            std::fs::create_dir_all(staged.sessions_dir())?;
-            let mut manifest = DatasetManifest {
+            let sessions_dir = staged.sessions_dir();
+            std::fs::create_dir_all(&sessions_dir)?;
+            let indices: Vec<usize> = (0..results.len()).collect();
+            let names = executor.map(&indices, |&i| -> io::Result<String> {
+                let name = Dataset::session_file_name(i, &results[i]);
+                let mut file = std::fs::File::create(sessions_dir.join(&name))?;
+                Dataset::write_session_to(&mut file, &results[i])?;
+                Ok(name)
+            });
+            let manifest = DatasetManifest {
                 description: description.to_string(),
-                sessions: Vec::new(),
-                total_records: 0,
+                sessions: names.into_iter().collect::<io::Result<_>>()?,
+                total_records: results.iter().map(|r| r.trace.len() as u64).sum(),
                 version: DATASET_VERSION,
             };
-            for (i, r) in results.iter().enumerate() {
-                let name = Dataset::session_file_name(i, r);
-                std::fs::write(staged.sessions_dir().join(&name), Dataset::encode_session(r)?)?;
-                manifest.total_records += r.trace.len() as u64;
-                manifest.sessions.push(name);
-            }
             let json = serde_json::to_string_pretty(&manifest)
                 .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
             std::fs::write(staged.manifest_path(), json)?;
@@ -294,10 +316,9 @@ impl Dataset {
     pub fn write_session(&self, index: usize, result: &SessionResult) -> io::Result<String> {
         std::fs::create_dir_all(self.sessions_dir())?;
         let name = Dataset::session_file_name(index, result);
-        commit_file(
-            &self.sessions_dir().join(&name),
-            Dataset::encode_session(result)?.as_bytes(),
-        )?;
+        let mut bytes = Vec::new();
+        Dataset::write_session_to(&mut bytes, result)?;
+        commit_file(&self.sessions_dir().join(&name), &bytes)?;
         obs::registry().counter("dataset.checkpointed_sessions").inc();
         Ok(name)
     }
@@ -474,6 +495,65 @@ mod tests {
             assert_eq!(orig.trace.layer_shares(), back.trace.layer_shares());
         }
         std::fs::remove_dir_all(ds.root()).unwrap();
+    }
+
+    /// Every file of an exported dataset, by path relative to its root.
+    fn dir_bytes(ds: &Dataset) -> Vec<(String, Vec<u8>)> {
+        let manifest = std::fs::read(ds.manifest_path()).unwrap();
+        let mut files = vec![("manifest.json".to_string(), manifest)];
+        let mut names: Vec<String> = std::fs::read_dir(ds.sessions_dir())
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        for name in names {
+            let bytes = std::fs::read(ds.sessions_dir().join(&name)).unwrap();
+            files.push((format!("sessions/{name}"), bytes));
+        }
+        files
+    }
+
+    fn mixed_results() -> Vec<SessionResult> {
+        [Operator::VodafoneGermany, Operator::VerizonUs, Operator::AttUs, Operator::OrangeSpain100]
+            .into_iter()
+            .enumerate()
+            .map(|(i, op)| SessionResult::run(SessionSpec::stationary(op, i, 0.3, 90 + i as u64)))
+            .collect()
+    }
+
+    #[test]
+    fn export_is_byte_identical_across_thread_counts() {
+        let results = mixed_results();
+        let reference = Dataset::at(tmpdir("threads-1"));
+        reference.export_on(&Executor::sequential(), "threads", &results).unwrap();
+        let expected = dir_bytes(&reference);
+        assert_eq!(expected.len(), results.len() + 1);
+        for threads in [2, 8] {
+            let ds = Dataset::at(tmpdir(&format!("threads-{threads}")));
+            ds.export_on(&Executor::new(threads), "threads", &results).unwrap();
+            assert!(dir_bytes(&ds) == expected, "export differs at {threads} threads");
+            std::fs::remove_dir_all(ds.root()).unwrap();
+        }
+        std::fs::remove_dir_all(reference.root()).unwrap();
+    }
+
+    #[test]
+    fn checkpoint_file_matches_the_exported_file() {
+        let results = mixed_results();
+        let exported = Dataset::at(tmpdir("ckpt-export"));
+        let manifest = exported.export("ckpt", &results).unwrap();
+        let checkpoint = Dataset::at(tmpdir("ckpt-write"));
+        for (i, r) in results.iter().enumerate() {
+            let name = checkpoint.write_session(i, r).unwrap();
+            assert_eq!(name, manifest.sessions[i]);
+            assert!(
+                std::fs::read(checkpoint.sessions_dir().join(&name)).unwrap()
+                    == std::fs::read(exported.sessions_dir().join(&name)).unwrap(),
+                "{name}: checkpoint bytes differ from export bytes"
+            );
+        }
+        std::fs::remove_dir_all(exported.root()).unwrap();
+        std::fs::remove_dir_all(checkpoint.root()).unwrap();
     }
 
     #[test]

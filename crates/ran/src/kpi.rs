@@ -22,6 +22,7 @@
 
 pub use nr_phy::mcs::Modulation;
 use serde::{DeError, Deserialize, Serialize, Value};
+use std::io;
 
 /// Link direction of a KPI record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -1052,7 +1053,8 @@ impl Serialize for KpiTrace {
     /// observable on the wire (chunks are 64-record aligned, so word
     /// arrays of full chunks concatenate exactly), which keeps the
     /// encoding canonical — the byte-stability the determinism harness
-    /// relies on.
+    /// relies on. [`KpiTrace::write_json`] streams the same bytes without
+    /// building the tree.
     fn to_value(&self) -> Value {
         let c = &self.chunks;
         Value::Object(vec![
@@ -1079,6 +1081,113 @@ impl Serialize for KpiTrace {
             ("is_retx".to_string(), concat_column(c, |c| &c.is_retx)),
             ("block_error".to_string(), concat_column(c, |c| &c.block_error)),
         ])
+    }
+}
+
+/// Text the streaming writer buffers before handing it to the sink. The
+/// buffer overshoots by at most one number (~330 bytes for the widest
+/// finite `f64`) before it is flushed.
+const JSON_BUF_BYTES: usize = 64 * 1024;
+
+/// A column element: every v2 column is an array of JSON numbers.
+trait WireNumber: Copy {
+    fn write_json(self, out: &mut String);
+}
+
+macro_rules! wire_unsigned {
+    ($($t:ty),*) => {$(
+        impl WireNumber for $t {
+            fn write_json(self, out: &mut String) {
+                serde_json::write_u64(out, u64::from(self));
+            }
+        }
+    )*};
+}
+wire_unsigned!(u8, u16, u32, u64);
+
+impl WireNumber for f64 {
+    fn write_json(self, out: &mut String) {
+        serde_json::write_f64(out, self);
+    }
+}
+
+/// The bounded text buffer behind [`KpiTrace::write_json`].
+struct JsonStream<'w, W: io::Write> {
+    sink: &'w mut W,
+    buf: String,
+}
+
+impl<W: io::Write> JsonStream<'_, W> {
+    fn flush(&mut self) -> io::Result<()> {
+        self.sink.write_all(self.buf.as_bytes())?;
+        self.buf.clear();
+        Ok(())
+    }
+
+    /// `,"key":[v,v,…]`, the values concatenated across chunks.
+    fn column<T: WireNumber>(
+        &mut self,
+        key: &str,
+        chunks: &[Chunk],
+        col: fn(&Chunk) -> &[T],
+    ) -> io::Result<()> {
+        self.buf.push_str(",\"");
+        self.buf.push_str(key);
+        self.buf.push_str("\":[");
+        let mut first = true;
+        for chunk in chunks {
+            for &x in col(chunk) {
+                if !first {
+                    self.buf.push(',');
+                }
+                first = false;
+                x.write_json(&mut self.buf);
+                if self.buf.len() >= JSON_BUF_BYTES {
+                    self.flush()?;
+                }
+            }
+        }
+        self.buf.push(']');
+        Ok(())
+    }
+}
+
+impl KpiTrace {
+    /// Stream the dataset v2 wire form into `w`: the same bytes as
+    /// `serde_json::to_string(&trace)`, written column by column straight
+    /// from the chunks, with no [`Value`] tree in between. Numbers go
+    /// through the `serde_json` number writers themselves, so the text
+    /// is identical by construction; keys follow [`Serialize::to_value`]'s
+    /// order. At most ~64 KiB of text is buffered at any time, however
+    /// long the trace. `w` is not flushed.
+    pub fn write_json<W: io::Write>(&self, w: &mut W) -> io::Result<()> {
+        let mut out = JsonStream { sink: w, buf: String::with_capacity(JSON_BUF_BYTES + 512) };
+        out.buf.push_str("{\"len\":");
+        serde_json::write_u64(&mut out.buf, self.len as u64);
+        let c = &self.chunks;
+        out.column("slot", c, |c| &c.slot)?;
+        out.column("time_s", c, |c| &c.time_s)?;
+        out.column("carrier", c, |c| &c.carrier)?;
+        out.column("n_prb", c, |c| &c.n_prb)?;
+        out.column("n_re", c, |c| &c.n_re)?;
+        out.column("mcs", c, |c| &c.mcs)?;
+        out.column("modulation", c, |c| &c.modulation)?;
+        out.column("layers", c, |c| &c.layers)?;
+        out.column("tbs_bits", c, |c| &c.tbs_bits)?;
+        out.column("delivered_bits", c, |c| &c.delivered_bits)?;
+        out.column("cqi", c, |c| &c.cqi)?;
+        out.column("sinr_db", c, |c| &c.sinr_db)?;
+        out.column("rsrp_dbm", c, |c| &c.rsrp_dbm)?;
+        out.column("rsrq_db", c, |c| &c.rsrq_db)?;
+        out.column("serving_site", c, |c| &c.serving_site)?;
+        out.column("queue_bits", c, |c| &c.queue_bits)?;
+        out.column("queue_delay_ms", c, |c| &c.queue_delay_ms)?;
+        out.column("ul", c, |c| &c.ul)?;
+        out.column("scheduled", c, |c| &c.scheduled)?;
+        out.column("is_retx", c, |c| &c.is_retx)?;
+        out.column("block_error", c, |c| &c.block_error)?;
+        out.buf.push('}');
+        out.flush()
     }
 }
 
