@@ -1,6 +1,7 @@
 //! Extension study: offered-load sweep — the utilisation/queueing curve
 //! of one 90 MHz mid-band carrier under rate-limited traffic (built on
-//! `ran::traffic`, beyond the paper's full-buffer methodology).
+//! the `ran::workload::Cbr` source, beyond the paper's full-buffer
+//! methodology).
 
 use midband5g::experiments::extensions;
 use midband5g_bench::{banner, RunArgs};

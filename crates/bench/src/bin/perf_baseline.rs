@@ -24,8 +24,10 @@
 //!
 //! Unless `--no-gate` is given, the run asserts the driving scenarios
 //! keep a ≥2× cached-over-uncached speedup (the SIMD batching + moving
-//! lookahead headline) and exits non-zero when one slips — wire it into
-//! CI with `--no-gate` if the runner is too noisy for a hard floor.
+//! lookahead headline) and that a full-buffer carrier step keeps its
+//! `carrier_over_channel` rate ratio above its floor, and exits non-zero
+//! when one slips — wire it into CI with `--no-gate` if the runner is too
+//! noisy for a hard floor.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -86,16 +88,17 @@ struct StreamingFigure {
     wall_ms: f64,
 }
 
-/// Cost of routing the saturating full-buffer workload through the
-/// `ran::workload` trait pipeline instead of the legacy closed enum.
+/// Cost of one full-buffer carrier slot relative to the channel step it
+/// contains: every layer above the channel (CSI/AMC, allocation, TBS,
+/// BLER draw, HARQ, traffic flow, metrics) shows up as a lower ratio.
 #[derive(Debug, Serialize)]
-struct WorkloadOverheadFigure {
-    /// Carrier slots per second, legacy `TrafficSource::FullBuffer` path.
-    legacy_slots_per_sec: f64,
-    /// Carrier slots per second, default `Pipeline(FullBuffer)` path.
-    pipeline_slots_per_sec: f64,
-    /// Median per-round `pipeline / legacy` rate ratio (≥ 0.95 gated).
-    pipeline_over_legacy: f64,
+struct CarrierOverChannelFigure {
+    /// Full-buffer `Carrier::step` (both directions) slots per second.
+    carrier_slots_per_sec: f64,
+    /// `ChannelSimulator::step_at` slots per second, same seed and spot.
+    channel_slots_per_sec: f64,
+    /// Median per-round `carrier / channel` rate ratio (gated).
+    carrier_over_channel: f64,
 }
 
 /// Throughput of the loaded-cell engine at one UE count (`--cell-load`).
@@ -122,8 +125,8 @@ struct Baseline {
     scenarios: Vec<Scenario>,
     /// Full-session wall-clock figures.
     sessions: Vec<SessionFigure>,
-    /// Full-buffer-via-trait cost relative to the legacy enum path.
-    workload_overhead: WorkloadOverheadFigure,
+    /// Full-buffer carrier slot cost relative to its channel step.
+    carrier_over_channel: CarrierOverChannelFigure,
     /// Streaming-campaign memory profile; absent without `--streaming`.
     streaming: Option<StreamingFigure>,
     /// Loaded-cell engine scaling; absent without `--cell-load`.
@@ -300,48 +303,40 @@ fn main() {
         });
     }
 
-    // The tentpole regression figure: the default flow became
-    // `Pipeline(FullBuffer)`, so the whole hot path now runs through the
-    // workload trait. Byte identity is pinned by `workload_props`; this
-    // pins the *cost* — the trait detour must stay within 5% of the
-    // legacy closed-enum carrier.
-    let workload_overhead = {
+    // The layers above the channel, timed as one: a full-buffer carrier
+    // slot against the bare channel step at the same seed and spot.
+    let carrier_over_channel = {
         use midband5g::ran::carrier::{Carrier, TrafficPattern};
         use midband5g::ran::config::CellConfig;
-        use midband5g::ran::traffic::TrafficSource;
         use midband5g::radio_channel::link::LinkModel;
 
         let pos = Position::new(95.0, 0.0);
-        let build = || {
-            let seeds = SeedTree::new(11);
-            let cfg = CellConfig::midband(90, "DDDSU");
-            let channel = ChannelSimulator::new(
+        let seeds = SeedTree::new(11);
+        let cfg = CellConfig::midband(90, "DDDSU");
+        let channel = || {
+            ChannelSimulator::new(
                 ChannelConfig::midband_urban(cfg.n_rb),
                 DeploymentLayout::single_site(),
                 MobilityModel::Stationary { position: pos },
                 &seeds,
-            );
-            Carrier::new(cfg, 0, channel, LinkModel::midband_qam256(), &seeds)
+            )
         };
-        let mut pipeline = build();
-        let mut legacy = build();
-        let seeds = SeedTree::new(11);
-        legacy.set_dl_traffic(TrafficSource::FullBuffer, &seeds);
-        legacy.set_ul_traffic(TrafficSource::FullBuffer, &seeds);
-        let (pipe_rate, legacy_rate, ratio) = measure_pair(
+        let mut bare = channel();
+        let mut carrier = Carrier::new(cfg.clone(), 0, channel(), LinkModel::midband_qam256(), &seeds);
+        let (carrier_rate, channel_rate, ratio) = measure_pair(
             slots_per_round / 8,
             rounds,
             || {
-                black_box(pipeline.step(black_box(pos), 0.0, TrafficPattern::BOTH, true, 1.0, 1.0));
+                black_box(carrier.step(black_box(pos), 0.0, TrafficPattern::BOTH, true, 1.0, 1.0));
             },
             || {
-                black_box(legacy.step(black_box(pos), 0.0, TrafficPattern::BOTH, true, 1.0, 1.0));
+                black_box(bare.step_at(black_box(pos), 0.0));
             },
         );
-        WorkloadOverheadFigure {
-            legacy_slots_per_sec: legacy_rate,
-            pipeline_slots_per_sec: pipe_rate,
-            pipeline_over_legacy: ratio,
+        CarrierOverChannelFigure {
+            carrier_slots_per_sec: carrier_rate,
+            channel_slots_per_sec: channel_rate,
+            carrier_over_channel: ratio,
         }
     };
 
@@ -394,7 +389,7 @@ fn main() {
         slots_per_variant: slots,
         scenarios,
         sessions,
-        workload_overhead,
+        carrier_over_channel,
         streaming: streaming_fig,
         cell_load: cell_load_fig,
     };
@@ -410,11 +405,11 @@ fn main() {
         println!("  session {:<14} {:.1} s simulated in {:.0} ms", s.operator, s.duration_s, s.wall_ms);
     }
     {
-        let w = &baseline.workload_overhead;
+        let c = &baseline.carrier_over_channel;
         println!(
-            "  workload pipeline {:>12.0} slots/s vs legacy enum {:>12.0} slots/s \
+            "  full-buffer carrier {:>12.0} slots/s vs channel {:>12.0} slots/s \
              (ratio {:.3})",
-            w.pipeline_slots_per_sec, w.legacy_slots_per_sec, w.pipeline_over_legacy
+            c.carrier_slots_per_sec, c.channel_slots_per_sec, c.carrier_over_channel
         );
     }
     if let Some(f) = &baseline.streaming {
@@ -471,15 +466,17 @@ fn main() {
                 failed = true;
             }
         }
-        // The full-buffer-via-trait carrier must stay within 5% of the
-        // legacy closed-enum carrier (median per-round ratio).
-        const WORKLOAD_OVERHEAD_FLOOR: f64 = 0.95;
-        let w = &baseline.workload_overhead;
-        if w.pipeline_over_legacy < WORKLOAD_OVERHEAD_FLOOR {
+        // Every layer above the channel, gated as one in-run ratio: a
+        // 5% slowdown of the full-buffer carrier step trips it. The floor
+        // is 0.95 × the 0.326 median ratio measured on a 2-vCPU Intel Xeon
+        // VM when the gate was introduced.
+        const CARRIER_OVER_CHANNEL_FLOOR: f64 = 0.310;
+        let c = &baseline.carrier_over_channel;
+        if c.carrier_over_channel < CARRIER_OVER_CHANNEL_FLOOR {
             eprintln!(
-                "gate: workload pipeline at {:.3}x of the legacy carrier, below the \
-                 {WORKLOAD_OVERHEAD_FLOOR:.2}x floor",
-                w.pipeline_over_legacy
+                "gate: full-buffer carrier at {:.3}x of the channel step, below the \
+                 {CARRIER_OVER_CHANNEL_FLOOR:.3}x floor",
+                c.carrier_over_channel
             );
             failed = true;
         }

@@ -1,9 +1,9 @@
 //! Figure 14: variability between users in the same cell — two locations
 //! (45 m / 117 m from the gNB), measured sequentially and simultaneously.
 //!
-//! Driven by the loaded-cell engine ([`ran::cell::CellSim`]); the legacy
-//! `ran::multiuser` driver remains only as the equivalence reference in
-//! `ran/tests/cell_props.rs`.
+//! Driven by the loaded-cell engine ([`ran::cell::CellSim`]); the original
+//! per-UE-carrier driver survives only as the equivalence reference in
+//! `ran/tests/support/multiuser.rs`.
 
 use analysis::variability::variability;
 use operators::Operator;
@@ -39,9 +39,9 @@ pub struct MultiUserExperiment {
     pub simultaneous: Vec<LocationOutcome>,
 }
 
-/// Cell parameters of the operator's primary carrier on a single site —
-/// the same assembly the legacy per-participant path performed.
-fn cell_params(op: Operator) -> CellParams {
+/// Cell parameters of the operator's primary carrier on a single site,
+/// equal-share scheduled, DL saturated.
+pub fn cell_params(op: Operator) -> CellParams {
     let profile = op.profile();
     let carrier = &profile.carriers[0];
     CellParams {

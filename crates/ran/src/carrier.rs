@@ -10,19 +10,17 @@ use crate::config::CellConfig;
 use crate::flow::Flow;
 use crate::harq::{HarqConfig, HarqEntity};
 use crate::kpi::{Direction, SlotKpi};
+use crate::leg::{self, MetricDeltas, SlotCtx, SlotMetrics, UeLeg};
 use crate::queue::QueueConfig;
 use crate::scheduler::AllocationTable;
-use crate::traffic::TrafficSource;
 use crate::workload::Workload;
 use nr_phy::csi::DEFAULT_CSI_PERIOD_SLOTS;
 use nr_phy::tbs::TbsCache;
 use obs::audit::{self, Invariant};
-use obs::Counter;
 use radio_channel::channel::{ChannelSimulator, ChannelState};
 use radio_channel::geometry::Position;
 use radio_channel::link::LinkModel;
 use radio_channel::rng::SeedTree;
-use rand::Rng;
 use rand_chacha::ChaCha12Rng;
 
 /// Which directions carry saturating traffic.
@@ -69,29 +67,6 @@ const CARRIER_BLER_LABELS: [&str; 8] = [
     "carrier7/bler",
 ];
 
-/// Cached metric handles shared by every carrier. Handles are resolved
-/// once at construction so the per-slot path is pure atomic adds
-/// (`ran/tests/alloc_free.rs` holds with these compiled in).
-#[derive(Debug, Clone, Copy)]
-struct CarrierMetrics {
-    slots: Counter,
-    retx: Counter,
-    block_errors: Counter,
-    delivered_bits: Counter,
-}
-
-impl CarrierMetrics {
-    fn new() -> Self {
-        let reg = obs::registry();
-        CarrierMetrics {
-            slots: reg.counter("ran.slots"),
-            retx: reg.counter("ran.retx"),
-            block_errors: reg.counter("ran.block_errors"),
-            delivered_bits: reg.counter("ran.delivered_bits"),
-        }
-    }
-}
-
 /// One component carrier bound to one UE.
 #[derive(Debug, Clone)]
 pub struct Carrier {
@@ -117,7 +92,7 @@ pub struct Carrier {
     /// Memoised §5.1.3.2 TBS results (inputs cycle with the TDD pattern
     /// and CSI period; DL and UL share the memo — `n_re` disambiguates).
     tbs_cache: TbsCache,
-    metrics: CarrierMetrics,
+    metrics: SlotMetrics,
 }
 
 impl Carrier {
@@ -152,7 +127,7 @@ impl Carrier {
             prev_rank: 2,
             alloc_table,
             tbs_cache: TbsCache::new(),
-            metrics: CarrierMetrics::new(),
+            metrics: SlotMetrics::new(),
         }
     }
 
@@ -164,25 +139,14 @@ impl Carrier {
         self.tbs_cache = TbsCache::new();
     }
 
-    /// Replace the DL traffic source with a legacy closed-enum source
-    /// (default: full buffer). `seeds` should be the same tree the
-    /// carrier was built with so results stay reproducible.
-    pub fn set_dl_traffic(&mut self, source: TrafficSource, seeds: &SeedTree) {
-        self.dl_flow = Flow::legacy(source, seeds, "dl");
-    }
-
-    /// Replace the UL traffic source (default: full buffer).
-    pub fn set_ul_traffic(&mut self, source: TrafficSource, seeds: &SeedTree) {
-        self.ul_flow = Flow::legacy(source, seeds, "ul");
-    }
-
-    /// Install a pluggable DL workload behind a gNB queue — the open
-    /// counterpart of [`Carrier::set_dl_traffic`].
+    /// Install a pluggable DL workload behind a gNB queue (default: full
+    /// buffer).
     pub fn set_dl_workload(&mut self, workload: Box<dyn Workload>, queue: QueueConfig) {
         self.dl_flow = Flow::pipeline(workload, queue);
     }
 
-    /// Install a pluggable UL workload behind a queue.
+    /// Install a pluggable UL workload behind a queue (default: full
+    /// buffer).
     pub fn set_ul_workload(&mut self, workload: Box<dyn Workload>, queue: QueueConfig) {
         self.ul_flow = Flow::pipeline(workload, queue);
     }
@@ -241,7 +205,8 @@ impl Carrier {
     /// * `ul_on_nr` gates the UL leg (false when NSA routing sent UL to
     ///   LTE this slot);
     /// * `dl_share`/`ul_share` are the fraction of the carrier granted to
-    ///   this UE (1.0 when alone; the multi-UE driver passes splits).
+    ///   this UE (1.0 when alone; a fraction models other users loading
+    ///   the carrier, as the bufferbloat study does).
     pub fn step(
         &mut self,
         position: Position,
@@ -268,251 +233,77 @@ impl Carrier {
             self.amc.update_csi(csi);
         }
         let cqi = self.amc.csi().cqi.value();
-        self.metrics.slots.inc();
-        if audit::enabled() {
+        let auditing = audit::enabled();
+        if auditing {
             audit::check(Invariant::CqiRange, cqi <= 15);
         }
 
-        let dl = if traffic.dl && self.dl_flow.needs_grant(self.dl_harq.has_ready(slot)) {
-            self.dl_step(slot, time_s, cqi, &ch, dl_share)
-        } else {
-            SlotKpi::idle(
-                slot,
-                time_s,
-                self.index,
-                Direction::Dl,
-                cqi,
-                ch.sinr_db,
-                ch.measurement.rsrp_dbm,
-                ch.measurement.rsrq_db,
-                ch.serving_site,
-            )
+        let ctx = SlotCtx {
+            cfg: &self.cfg,
+            link: &self.link,
+            slot,
+            time_s,
+            carrier: self.index,
+            cqi,
+            ch: &ch,
+            auditing,
         };
-
-        let ul = if self.alloc_table.has_ul(slot) {
-            Some(if traffic.ul && ul_on_nr && self.ul_flow.needs_grant(self.ul_harq.has_ready(slot))
-            {
-                self.ul_step(slot, time_s, cqi, &ch, ul_share)
-            } else {
-                SlotKpi::idle(
-                    slot,
-                    time_s,
-                    self.index,
-                    Direction::Ul,
-                    cqi,
-                    ch.sinr_db,
-                    ch.measurement.rsrp_dbm,
-                    ch.measurement.rsrq_db,
-                    ch.serving_site,
-                )
-            })
+        let mut deltas = MetricDeltas::default();
+        let dl_alloc = if traffic.dl && self.dl_flow.needs_grant(self.dl_harq.has_ready(slot)) {
+            self.alloc_table.dl(&self.cfg, slot, dl_share)
         } else {
             None
         };
+        let dl = match dl_alloc {
+            Some(alloc) => leg::transmit(
+                &ctx,
+                Direction::Dl,
+                alloc,
+                &mut self.tbs_cache,
+                UeLeg {
+                    amc: &mut self.amc,
+                    harq: &mut self.dl_harq,
+                    flow: &mut self.dl_flow,
+                    rng: &mut self.rng,
+                },
+                &mut deltas,
+            ),
+            None => ctx.idle(Direction::Dl),
+        };
+
+        let ul = self.alloc_table.has_ul(slot).then(|| {
+            if traffic.ul && ul_on_nr && self.ul_flow.needs_grant(self.ul_harq.has_ready(slot)) {
+                let alloc = self
+                    .alloc_table
+                    .ul(&self.cfg, slot, ul_share)
+                    .expect("slot carries UL symbols");
+                leg::transmit(
+                    &ctx,
+                    Direction::Ul,
+                    alloc,
+                    &mut self.tbs_cache,
+                    UeLeg {
+                        amc: &mut self.amc,
+                        harq: &mut self.ul_harq,
+                        flow: &mut self.ul_flow,
+                        rng: &mut self.rng,
+                    },
+                    &mut deltas,
+                )
+            } else {
+                ctx.idle(Direction::Ul)
+            }
+        });
+        self.metrics.flush(1, deltas);
 
         CarrierSlotOutput { dl, ul, channel: ch }
-    }
-
-    fn dl_step(
-        &mut self,
-        slot: u64,
-        time_s: f64,
-        cqi: u8,
-        ch: &ChannelState,
-        share: f64,
-    ) -> SlotKpi {
-        let alloc = self.alloc_table.dl(&self.cfg, slot, share);
-        // No DL symbols this slot, or the UE reported out-of-range (CQI 0):
-        // nothing is scheduled (a real gNB cannot close the link either).
-        let (Some(alloc), false) = (alloc, cqi == 0) else {
-            return SlotKpi::idle(
-                slot,
-                time_s,
-                self.index,
-                Direction::Dl,
-                cqi,
-                ch.sinr_db,
-                ch.measurement.rsrp_dbm,
-                ch.measurement.rsrq_db,
-                ch.serving_site,
-            );
-        };
-        let grant = self.amc.dl_grant(&self.cfg);
-        let table = grant.format.effective_mcs_table(self.cfg.mcs_table());
-        let modulation = table.modulation(grant.mcs).unwrap_or(nr_phy::mcs::Modulation::Qpsk);
-
-        // Retransmission takes priority over new data; fresh transport
-        // blocks are sized to the queued backlog (a rate-limited source
-        // produces smaller TBs than the allocation could carry).
-        let (tbs_bits, attempts, is_retx) = match self.dl_harq.pop_ready(slot) {
-            Some(tb) => {
-                self.dl_flow.begin_retx();
-                (tb.tbs_bits, tb.attempts + 1, true)
-            }
-            None => {
-                let full =
-                    self.tbs_cache.transport_block_size(&alloc, table, grant.mcs, grant.layers);
-                (self.dl_flow.compose_tb(full, time_s), 1, false)
-            }
-        };
-
-        let bonus = self.dl_harq.combining_bonus_db(attempts);
-        let p_err = self.link.bler(ch.sinr_db + bonus, table, grant.mcs);
-        let failed = self.rng.gen::<f64>() < p_err;
-        if failed {
-            if self.dl_harq.record_failure(tbs_bits, attempts, slot) {
-                self.dl_flow.fail_deferred();
-            } else {
-                self.dl_flow.fail_dropped(time_s, tbs_bits);
-            }
-        } else {
-            self.dl_flow.complete_delivered(time_s, tbs_bits);
-        }
-        self.amc.harq_feedback(!failed);
-
-        let delivered_bits = if failed { 0 } else { tbs_bits };
-        if failed {
-            self.metrics.block_errors.inc();
-        }
-        if is_retx {
-            self.metrics.retx.inc();
-        }
-        self.metrics.delivered_bits.add(u64::from(delivered_bits));
-        if audit::enabled() {
-            audit::check(Invariant::RbWithinCarrier, alloc.n_prb <= self.cfg.n_rb);
-            audit::check(
-                Invariant::HarqAttemptsWithinMax,
-                attempts <= self.dl_harq.config().max_attempts,
-            );
-            audit::check(Invariant::DeliveredWithinTbs, delivered_bits <= tbs_bits);
-        }
-
-        SlotKpi {
-            slot,
-            time_s,
-            carrier: self.index,
-            direction: Direction::Dl,
-            scheduled: true,
-            n_prb: alloc.n_prb,
-            n_re: alloc.total_re(),
-            mcs: grant.mcs.0,
-            modulation,
-            layers: grant.layers,
-            tbs_bits,
-            delivered_bits,
-            is_retx,
-            block_error: failed,
-            cqi,
-            sinr_db: ch.sinr_db,
-            rsrp_dbm: ch.measurement.rsrp_dbm,
-            rsrq_db: ch.measurement.rsrq_db,
-            serving_site: ch.serving_site,
-            queue_bits: self.dl_flow.queue_bits(),
-            queue_delay_ms: self.dl_flow.queue_delay_ms(),
-        }
-    }
-
-    fn ul_step(
-        &mut self,
-        slot: u64,
-        time_s: f64,
-        cqi: u8,
-        ch: &ChannelState,
-        share: f64,
-    ) -> SlotKpi {
-        let alloc = self.alloc_table.ul(&self.cfg, slot, share)
-            .expect("caller checked ul_symbols > 0");
-        if cqi == 0 {
-            return SlotKpi::idle(
-                slot,
-                time_s,
-                self.index,
-                Direction::Ul,
-                cqi,
-                ch.sinr_db,
-                ch.measurement.rsrp_dbm,
-                ch.measurement.rsrq_db,
-                ch.serving_site,
-            );
-        }
-        let grant = self.amc.ul_grant(&self.cfg);
-        let table = grant.format.effective_mcs_table(self.cfg.mcs_table());
-        let modulation = table.modulation(grant.mcs).unwrap_or(nr_phy::mcs::Modulation::Qpsk);
-
-        let (tbs_bits, attempts, is_retx) = match self.ul_harq.pop_ready(slot) {
-            Some(tb) => {
-                self.ul_flow.begin_retx();
-                (tb.tbs_bits, tb.attempts + 1, true)
-            }
-            None => {
-                let full =
-                    self.tbs_cache.transport_block_size(&alloc, table, grant.mcs, grant.layers);
-                (self.ul_flow.compose_tb(full, time_s), 1, false)
-            }
-        };
-
-        // UL runs several dB below DL at the same spot: the UE's power
-        // budget (23 dBm vs 44 dBm, partly offset by gNB receive gain).
-        const UL_SINR_PENALTY_DB: f64 = 6.0;
-        let bonus = self.ul_harq.combining_bonus_db(attempts);
-        let p_err = self.link.bler(ch.sinr_db - UL_SINR_PENALTY_DB + bonus, table, grant.mcs);
-        let failed = self.rng.gen::<f64>() < p_err;
-        if failed {
-            if self.ul_harq.record_failure(tbs_bits, attempts, slot) {
-                self.ul_flow.fail_deferred();
-            } else {
-                self.ul_flow.fail_dropped(time_s, tbs_bits);
-            }
-        } else {
-            self.ul_flow.complete_delivered(time_s, tbs_bits);
-        }
-
-        let delivered_bits = if failed { 0 } else { tbs_bits };
-        if failed {
-            self.metrics.block_errors.inc();
-        }
-        if is_retx {
-            self.metrics.retx.inc();
-        }
-        self.metrics.delivered_bits.add(u64::from(delivered_bits));
-        if audit::enabled() {
-            audit::check(Invariant::RbWithinCarrier, alloc.n_prb <= self.cfg.n_rb);
-            audit::check(
-                Invariant::HarqAttemptsWithinMax,
-                attempts <= self.ul_harq.config().max_attempts,
-            );
-            audit::check(Invariant::DeliveredWithinTbs, delivered_bits <= tbs_bits);
-        }
-
-        SlotKpi {
-            slot,
-            time_s,
-            carrier: self.index,
-            direction: Direction::Ul,
-            scheduled: true,
-            n_prb: alloc.n_prb,
-            n_re: alloc.total_re(),
-            mcs: grant.mcs.0,
-            modulation,
-            layers: grant.layers,
-            tbs_bits,
-            delivered_bits,
-            is_retx,
-            block_error: failed,
-            cqi,
-            sinr_db: ch.sinr_db,
-            rsrp_dbm: ch.measurement.rsrp_dbm,
-            rsrq_db: ch.measurement.rsrq_db,
-            serving_site: ch.serving_site,
-            queue_bits: self.ul_flow.queue_bits(),
-            queue_delay_ms: self.ul_flow.queue_delay_ms(),
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workload::{Cbr, FiniteTransfer};
     use radio_channel::channel::ChannelConfig;
     use radio_channel::geometry::DeploymentLayout;
     use radio_channel::mobility::MobilityModel;
@@ -648,12 +439,10 @@ mod tests {
 
     #[test]
     fn cbr_traffic_caps_delivered_rate() {
-        use crate::traffic::TrafficSource;
         // A 100 Mbps CBR source over a channel that could carry several
         // hundred: goodput tracks the offered load, not the capacity.
         let (mut c, pos) = carrier(90, 70.0, 21);
-        let seeds = radio_channel::rng::SeedTree::new(21);
-        c.set_dl_traffic(TrafficSource::Cbr { rate_mbps: 100.0 }, &seeds);
+        c.set_dl_workload(Box::new(Cbr::new(100.0)), QueueConfig::unbounded());
         let mut trace = crate::kpi::KpiTrace::new();
         for _ in 0..20_000 {
             trace.push(c.step(pos, 0.0, TrafficPattern::DL, false, 1.0, 1.0).dl);
@@ -674,10 +463,8 @@ mod tests {
 
     #[test]
     fn finite_transfer_drains_and_goes_quiet() {
-        use crate::traffic::TrafficSource;
         let (mut c, pos) = carrier(90, 70.0, 22);
-        let seeds = radio_channel::rng::SeedTree::new(22);
-        c.set_dl_traffic(TrafficSource::Finite { total_megabits: 100.0 }, &seeds);
+        c.set_dl_workload(Box::new(FiniteTransfer::new(100.0)), QueueConfig::unbounded());
         let mut delivered = 0u64;
         let mut quiet_slots = 0u32;
         for _ in 0..20_000 {
@@ -687,10 +474,16 @@ mod tests {
                 quiet_slots += 1;
             }
         }
-        // Everything offered is eventually delivered (HARQ may drop a
-        // residual block or two at most).
-        assert!(delivered as f64 >= 100.0e6 * 0.995, "delivered {delivered}");
-        assert!(delivered as f64 <= 100.5e6);
+        // Every offered bit is accounted for: delivered, or lost when a
+        // block exhausts its HARQ budget. A failed last block is still
+        // granted its retransmissions after the queue runs dry.
+        let stats = c.dl_traffic().workload_stats();
+        assert_eq!(stats.offered_bits, 100_000_000);
+        assert_eq!(stats.delivered_bits, delivered, "records and workload agree");
+        assert_eq!(stats.delivered_bits + stats.lost_bits, 100_000_000);
+        // The unbounded queue drops nothing, so every lost bit is a
+        // HARQ-exhausted block.
+        assert_eq!(c.dl_traffic().queue_counters(), (0, 0, 100_000_000));
         assert!(quiet_slots > 10_000, "channel goes quiet after the transfer");
     }
 }

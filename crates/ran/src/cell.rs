@@ -1,11 +1,12 @@
 //! The loaded-cell engine: one cell, N contending UEs, one slot loop.
 //!
-//! [`crate::multiuser::MultiUeSim`] reproduced the paper's §5.2 / Fig. 14
-//! two-UE experiments by cloning a full [`Carrier`](crate::carrier::Carrier) per UE and steering
-//! fractional shares through it. That shape cannot scale: every clone
+//! The paper's §5.2 / Fig. 14 two-UE experiments were first reproduced by
+//! cloning a full [`Carrier`](crate::carrier::Carrier) per UE and steering
+//! fractional shares through it (that driver survives as the reference in
+//! `ran/tests/support/multiuser.rs`). That shape cannot scale: every clone
 //! carries its own allocation table and TBS memo, shares are floats that
 //! can over-allocate under rounding, and the per-slot loop materialises a
-//! `KpiTrace` per UE. [`CellSim`] rebuilds cell-level simulation as a
+//! `KpiTrace` per UE. [`CellSim`] is cell-level simulation as a
 //! first-class engine:
 //!
 //! * **Structure-of-arrays state.** Per-UE columns (CQI, OLLA/AMC, HARQ,
@@ -33,11 +34,11 @@
 //!    traffic as of the previous slot).
 //! 2. **Channel + UE side**: advance each UE's channel, traffic arrivals,
 //!    SINR filtering and (periodic) CSI reporting.
-//! 3. **Transmit**: run the granted UEs' DL/UL leg exactly as the
-//!    single-UE [`Carrier`](crate::carrier::Carrier) would — same AMC, HARQ, TBS and BLER-draw
-//!    arithmetic, same RNG stream per UE — then update PF average rates
-//!    and push one DL record (plus one UL record on UL-capable slots) per
-//!    UE into the sink.
+//! 3. **Transmit**: run the granted UEs' DL/UL legs through the same
+//!    transmit leg the single-UE [`Carrier`](crate::carrier::Carrier)
+//!    uses, with the same RNG stream per UE — then update PF average
+//!    rates and push one DL record (plus one UL record on UL-capable
+//!    slots) per UE into the sink.
 //!
 //! With one UE, every phase degenerates to the [`Carrier`](crate::carrier::Carrier) path and the
 //! emitted records are byte-identical to it (`ran/tests/cell_props.rs`).
@@ -48,21 +49,19 @@ use crate::config::CellConfig;
 use crate::flow::Flow;
 use crate::harq::{HarqConfig, HarqEntity};
 use crate::kpi::{Direction, KpiTrace, SlotKpi};
+use crate::leg::{self, MetricDeltas, SlotCtx, SlotMetrics, UeLeg};
 use crate::queue::QueueConfig;
 use crate::scheduler::{self, SchedulerPolicy};
-use crate::traffic::TrafficSource;
 use crate::workload::Workload;
 use nr_phy::cqi::Cqi;
 use nr_phy::csi::{CsiReport, DEFAULT_CSI_PERIOD_SLOTS};
 use nr_phy::tbs::TbsCache;
 use obs::audit::{self, Invariant};
-use obs::Counter;
 use radio_channel::channel::{ChannelConfig, ChannelSimulator, ChannelState};
 use radio_channel::geometry::{DeploymentLayout, Position};
 use radio_channel::link::LinkModel;
 use radio_channel::mobility::MobilityModel;
 use radio_channel::rng::SeedTree;
-use rand::Rng;
 use rand_chacha::ChaCha12Rng;
 
 /// Everything static about the cell a [`CellSim`] drives: the carrier
@@ -164,38 +163,6 @@ impl CellSink for CellTraces {
     }
 }
 
-/// Cached metric handles (same registry names as the single-UE
-/// [`Carrier`](crate::carrier::Carrier), so obs totals aggregate across both engines). Per-slot
-/// deltas accumulate in locals and flush as one atomic add per counter
-/// per slot, keeping the hot path at four atomics regardless of N.
-#[derive(Debug, Clone, Copy)]
-struct CellMetrics {
-    slots: Counter,
-    retx: Counter,
-    block_errors: Counter,
-    delivered_bits: Counter,
-}
-
-impl CellMetrics {
-    fn new() -> Self {
-        let reg = obs::registry();
-        CellMetrics {
-            slots: reg.counter("ran.slots"),
-            retx: reg.counter("ran.retx"),
-            block_errors: reg.counter("ran.block_errors"),
-            delivered_bits: reg.counter("ran.delivered_bits"),
-        }
-    }
-}
-
-/// Per-slot metric deltas, flushed to the atomic counters once per slot.
-#[derive(Debug, Clone, Copy, Default)]
-struct MetricDeltas {
-    retx: u64,
-    block_errors: u64,
-    delivered_bits: u64,
-}
-
 /// UEs swept per fused phase-2+3 chunk. Phases 2 and 3 are per-UE
 /// independent once the slot's grants are fixed, so the sweep fuses them
 /// over small chunks: a UE's channel state, traffic queues and AMC column
@@ -244,7 +211,7 @@ pub struct CellSim {
     eligible: Vec<u32>,
     // --- shared across UEs ---
     tbs_cache: TbsCache,
-    metrics: CellMetrics,
+    metrics: SlotMetrics,
 }
 
 impl CellSim {
@@ -312,7 +279,7 @@ impl CellSim {
             ul_prbs: vec![0; n],
             eligible: Vec::with_capacity(n),
             tbs_cache: TbsCache::new(),
-            metrics: CellMetrics::new(),
+            metrics: SlotMetrics::new(),
             params,
         }
     }
@@ -336,14 +303,6 @@ impl CellSim {
     /// Override the CSI reporting period in slots.
     pub fn set_csi_period(&mut self, slots: u64) {
         self.csi_period = slots.max(1);
-    }
-
-    /// Replace UE `ue`'s DL traffic source with a legacy closed-enum
-    /// source (default: full buffer). `seeds` should be the tree the
-    /// cell was built with.
-    pub fn set_dl_traffic(&mut self, ue: usize, source: TrafficSource, seeds: &SeedTree) {
-        let ue_seeds = seeds.child_indexed("ue", ue as u64);
-        self.dl_flows[ue] = Flow::legacy(source, &ue_seeds, "dl");
     }
 
     /// Install a pluggable DL workload behind a gNB queue for UE `ue`.
@@ -452,29 +411,39 @@ impl CellSim {
 
             // Phase 3 — transmit per grant, stream records, update PF state.
             for i in start..end {
-                let cqi = self.gnb_cqi[i];
                 let ch = self.ch[i - start];
-                let dl = if self.params.traffic.dl
+                let ctx = SlotCtx {
+                    cfg: &self.params.cell,
+                    link: &self.params.link,
+                    slot,
+                    time_s,
+                    carrier: 0,
+                    cqi: self.gnb_cqi[i],
+                    ch: &ch,
+                    auditing,
+                };
+                let dl_alloc = if self.params.traffic.dl
                     && self.dl_flows[i].needs_grant(self.dl_harq[i].has_ready(slot))
-                    && self.dl_prbs[i] > 0
                 {
-                    dl_transmit(
-                        &self.params,
-                        &mut self.tbs_cache,
-                        &mut self.amc[i],
-                        &mut self.dl_harq[i],
-                        &mut self.dl_flows[i],
-                        &mut self.bler_rng[i],
-                        &mut deltas,
-                        slot,
-                        time_s,
-                        cqi,
-                        &ch,
-                        self.dl_prbs[i],
-                        auditing,
-                    )
+                    scheduler::dl_allocation_prbs(&self.params.cell, slot, self.dl_prbs[i])
                 } else {
-                    idle(slot, time_s, Direction::Dl, cqi, &ch)
+                    None
+                };
+                let dl = match dl_alloc {
+                    Some(alloc) => leg::transmit(
+                        &ctx,
+                        Direction::Dl,
+                        alloc,
+                        &mut self.tbs_cache,
+                        UeLeg {
+                            amc: &mut self.amc[i],
+                            harq: &mut self.dl_harq[i],
+                            flow: &mut self.dl_flows[i],
+                            rng: &mut self.bler_rng[i],
+                        },
+                        &mut deltas,
+                    ),
+                    None => ctx.idle(Direction::Dl),
                 };
                 sink.push(i as u32, &dl);
                 if ul_capable {
@@ -482,37 +451,34 @@ impl CellSim {
                         && self.ul_flows[i].needs_grant(self.ul_harq[i].has_ready(slot))
                         && self.ul_prbs[i] > 0
                     {
-                        ul_transmit(
-                            &self.params,
+                        let alloc =
+                            scheduler::ul_allocation_prbs(&self.params.cell, slot, self.ul_prbs[i])
+                                .expect("slot carries UL symbols and the grant is non-empty");
+                        leg::transmit(
+                            &ctx,
+                            Direction::Ul,
+                            alloc,
                             &mut self.tbs_cache,
-                            &mut self.amc[i],
-                            &mut self.ul_harq[i],
-                            &mut self.ul_flows[i],
-                            &mut self.bler_rng[i],
+                            UeLeg {
+                                amc: &mut self.amc[i],
+                                harq: &mut self.ul_harq[i],
+                                flow: &mut self.ul_flows[i],
+                                rng: &mut self.bler_rng[i],
+                            },
                             &mut deltas,
-                            slot,
-                            time_s,
-                            cqi,
-                            &ch,
-                            self.ul_prbs[i],
-                            auditing,
                         )
                     } else {
-                        idle(slot, time_s, Direction::Ul, cqi, &ch)
+                        ctx.idle(Direction::Ul)
                     };
                     sink.push(i as u32, &ul);
                 }
                 // PF bookkeeping: the long-term average tracks delivered DL
-                // bits for every UE every slot (idle slots decay it), exactly
-                // as the legacy MultiUeSim did.
+                // bits for every UE every slot (idle slots decay it).
                 self.avg_rate[i] = 0.999 * self.avg_rate[i] + 0.001 * f64::from(dl.delivered_bits);
             }
             start = end;
         }
-        self.metrics.slots.add(n as u64);
-        self.metrics.retx.add(deltas.retx);
-        self.metrics.block_errors.add(deltas.block_errors);
-        self.metrics.delivered_bits.add(deltas.delivered_bits);
+        self.metrics.flush(n as u64, deltas);
     }
 
     /// Fill `dl_prbs`/`ul_prbs` with this slot's integer grants.
@@ -563,8 +529,8 @@ impl CellSim {
             }
             SchedulerPolicy::ProportionalFair => {
                 // Metric: CQI-implied instantaneous rate over average
-                // rate. Last index wins ties (`>=`), preserving the
-                // legacy `Iterator::max_by` selection exactly.
+                // rate. Last index wins ties (`>=`), matching the
+                // reference driver's `Iterator::max_by` selection exactly.
                 let metric = |i: usize| {
                     f64::from(self.gnb_cqi[i]) / self.avg_rate[i].max(1e-9)
                 };
@@ -587,204 +553,6 @@ impl CellSim {
             audit::check(Invariant::RbBudgetConserved, dl_sum <= u64::from(dl_budget));
             audit::check(Invariant::RbBudgetConserved, ul_sum <= u64::from(ul_budget));
         }
-    }
-}
-
-fn idle(slot: u64, time_s: f64, direction: Direction, cqi: u8, ch: &ChannelState) -> SlotKpi {
-    SlotKpi::idle(
-        slot,
-        time_s,
-        0,
-        direction,
-        cqi,
-        ch.sinr_db,
-        ch.measurement.rsrp_dbm,
-        ch.measurement.rsrq_db,
-        ch.serving_site,
-    )
-}
-
-/// One UE's DL leg for one granted slot. Field-for-field and float-op-for
-/// float-op the same computation as `Carrier::dl_step`, with the PRB
-/// count already an integer (the carrier derives it from a share).
-#[allow(clippy::too_many_arguments)] // mirrors the per-UE column set
-fn dl_transmit(
-    params: &CellParams,
-    tbs_cache: &mut TbsCache,
-    amc: &mut AmcState,
-    harq: &mut HarqEntity,
-    flow: &mut Flow,
-    rng: &mut ChaCha12Rng,
-    deltas: &mut MetricDeltas,
-    slot: u64,
-    time_s: f64,
-    cqi: u8,
-    ch: &ChannelState,
-    n_prb: u16,
-    auditing: bool,
-) -> SlotKpi {
-    let cfg = &params.cell;
-    let alloc = scheduler::dl_allocation_prbs(cfg, slot, n_prb);
-    let (Some(alloc), false) = (alloc, cqi == 0) else {
-        return idle(slot, time_s, Direction::Dl, cqi, ch);
-    };
-    let grant = amc.dl_grant(cfg);
-    let table = grant.format.effective_mcs_table(cfg.mcs_table());
-    let modulation = table.modulation(grant.mcs).unwrap_or(nr_phy::mcs::Modulation::Qpsk);
-
-    let (tbs_bits, attempts, is_retx) = match harq.pop_ready(slot) {
-        Some(tb) => {
-            flow.begin_retx();
-            (tb.tbs_bits, tb.attempts + 1, true)
-        }
-        None => {
-            let full = tbs_cache.transport_block_size(&alloc, table, grant.mcs, grant.layers);
-            (flow.compose_tb(full, time_s), 1, false)
-        }
-    };
-
-    let bonus = harq.combining_bonus_db(attempts);
-    let p_err = params.link.bler(ch.sinr_db + bonus, table, grant.mcs);
-    let failed = rng.gen::<f64>() < p_err;
-    if failed {
-        if harq.record_failure(tbs_bits, attempts, slot) {
-            flow.fail_deferred();
-        } else {
-            flow.fail_dropped(time_s, tbs_bits);
-        }
-    } else {
-        flow.complete_delivered(time_s, tbs_bits);
-    }
-    amc.harq_feedback(!failed);
-
-    let delivered_bits = if failed { 0 } else { tbs_bits };
-    if failed {
-        deltas.block_errors += 1;
-    }
-    if is_retx {
-        deltas.retx += 1;
-    }
-    deltas.delivered_bits += u64::from(delivered_bits);
-    if auditing {
-        audit::check(Invariant::RbWithinCarrier, alloc.n_prb <= cfg.n_rb);
-        audit::check(Invariant::HarqAttemptsWithinMax, attempts <= harq.config().max_attempts);
-        audit::check(Invariant::DeliveredWithinTbs, delivered_bits <= tbs_bits);
-    }
-
-    SlotKpi {
-        slot,
-        time_s,
-        carrier: 0,
-        direction: Direction::Dl,
-        scheduled: true,
-        n_prb: alloc.n_prb,
-        n_re: alloc.total_re(),
-        mcs: grant.mcs.0,
-        modulation,
-        layers: grant.layers,
-        tbs_bits,
-        delivered_bits,
-        is_retx,
-        block_error: failed,
-        cqi,
-        sinr_db: ch.sinr_db,
-        rsrp_dbm: ch.measurement.rsrp_dbm,
-        rsrq_db: ch.measurement.rsrq_db,
-        serving_site: ch.serving_site,
-        queue_bits: flow.queue_bits(),
-        queue_delay_ms: flow.queue_delay_ms(),
-    }
-}
-
-/// One UE's UL leg for one granted slot (mirror of `Carrier::ul_step`).
-#[allow(clippy::too_many_arguments)] // mirrors the per-UE column set
-fn ul_transmit(
-    params: &CellParams,
-    tbs_cache: &mut TbsCache,
-    amc: &mut AmcState,
-    harq: &mut HarqEntity,
-    flow: &mut Flow,
-    rng: &mut ChaCha12Rng,
-    deltas: &mut MetricDeltas,
-    slot: u64,
-    time_s: f64,
-    cqi: u8,
-    ch: &ChannelState,
-    n_prb: u16,
-    auditing: bool,
-) -> SlotKpi {
-    let cfg = &params.cell;
-    let alloc = scheduler::ul_allocation_prbs(cfg, slot, n_prb)
-        .expect("caller checked ul_symbols > 0 and n_prb > 0");
-    if cqi == 0 {
-        return idle(slot, time_s, Direction::Ul, cqi, ch);
-    }
-    let grant = amc.ul_grant(cfg);
-    let table = grant.format.effective_mcs_table(cfg.mcs_table());
-    let modulation = table.modulation(grant.mcs).unwrap_or(nr_phy::mcs::Modulation::Qpsk);
-
-    let (tbs_bits, attempts, is_retx) = match harq.pop_ready(slot) {
-        Some(tb) => {
-            flow.begin_retx();
-            (tb.tbs_bits, tb.attempts + 1, true)
-        }
-        None => {
-            let full = tbs_cache.transport_block_size(&alloc, table, grant.mcs, grant.layers);
-            (flow.compose_tb(full, time_s), 1, false)
-        }
-    };
-
-    // Same UE power-budget penalty as the single-UE carrier.
-    const UL_SINR_PENALTY_DB: f64 = 6.0;
-    let bonus = harq.combining_bonus_db(attempts);
-    let p_err = params.link.bler(ch.sinr_db - UL_SINR_PENALTY_DB + bonus, table, grant.mcs);
-    let failed = rng.gen::<f64>() < p_err;
-    if failed {
-        if harq.record_failure(tbs_bits, attempts, slot) {
-            flow.fail_deferred();
-        } else {
-            flow.fail_dropped(time_s, tbs_bits);
-        }
-    } else {
-        flow.complete_delivered(time_s, tbs_bits);
-    }
-
-    let delivered_bits = if failed { 0 } else { tbs_bits };
-    if failed {
-        deltas.block_errors += 1;
-    }
-    if is_retx {
-        deltas.retx += 1;
-    }
-    deltas.delivered_bits += u64::from(delivered_bits);
-    if auditing {
-        audit::check(Invariant::RbWithinCarrier, alloc.n_prb <= cfg.n_rb);
-        audit::check(Invariant::HarqAttemptsWithinMax, attempts <= harq.config().max_attempts);
-        audit::check(Invariant::DeliveredWithinTbs, delivered_bits <= tbs_bits);
-    }
-
-    SlotKpi {
-        slot,
-        time_s,
-        carrier: 0,
-        direction: Direction::Ul,
-        scheduled: true,
-        n_prb: alloc.n_prb,
-        n_re: alloc.total_re(),
-        mcs: grant.mcs.0,
-        modulation,
-        layers: grant.layers,
-        tbs_bits,
-        delivered_bits,
-        is_retx,
-        block_error: failed,
-        cqi,
-        sinr_db: ch.sinr_db,
-        rsrp_dbm: ch.measurement.rsrp_dbm,
-        rsrq_db: ch.measurement.rsrq_db,
-        serving_site: ch.serving_site,
-        queue_bits: flow.queue_bits(),
-        queue_delay_ms: flow.queue_delay_ms(),
     }
 }
 

@@ -80,7 +80,7 @@ pub struct SlotKpi {
     /// Serving site id.
     pub serving_site: u32,
     /// gNB queue depth for this UE/direction after the slot's drain,
-    /// bits (0 for saturating full-buffer and legacy traffic paths).
+    /// bits (0 for saturating full-buffer flows).
     pub queue_bits: u32,
     /// Queue sojourn of the bits in this slot's transport block,
     /// milliseconds (0 when no queued bits were carried).

@@ -15,7 +15,8 @@
 //! 4. every slot is logged as a KPI record — the XCAL-equivalent trace the
 //!    `measure` and `analysis` crates consume ([`kpi`]).
 //!
-//! On top of the single-carrier loop sit:
+//! Steps 2–3 run in one transmit leg shared by both slot drivers and both
+//! directions. On top of the single-carrier loop sit:
 //!
 //! * [`carrier`] / [`sim`] — the per-UE simulator, including carrier
 //!   aggregation across mixed numerologies (T-Mobile's n41+n25 combos,
@@ -27,16 +28,15 @@
 //!   one cell's RB budget under proportional-fair, round-robin, max-CQI
 //!   or equal-share scheduling, with structure-of-arrays state and
 //!   streaming per-UE sinks (the §5.2 / Fig. 14 mechanism at scale);
-//! * [`multiuser`] — the legacy small-N driver kept as the reference the
-//!   cell engine's equivalence tests pin against;
 //! * [`latency`] — the slot-aligned PHY user-plane latency probe model of
 //!   §4.3 (TDD alignment + processing + HARQ);
 //! * [`rrc`] — RRC state promotion costs the paper's methodology controls
 //!   for (§2 ❺);
-//! * [`workload`] / [`queue`] / [`flow`] — the pluggable traffic layer:
-//!   a [`workload::Workload`] releases bits into a per-UE gNB queue
-//!   ([`queue::GnbQueue`], FIFO tail-drop or CoDel AQM) that the
-//!   scheduler drains, with per-TB delivery/loss fed back — the
+//! * [`workload`] / [`queue`] / [`flow`] — the traffic layer, the only
+//!   traffic path: a [`workload::Workload`] (full buffer, CBR, finite
+//!   transfer, cwnd transport, real-time frames) releases bits into a
+//!   per-UE gNB queue ([`queue::GnbQueue`], FIFO tail-drop or CoDel AQM)
+//!   that the scheduler drains, with per-TB delivery/loss fed back — the
 //!   closed-loop transport (cwnd) and real-time (frame-delay) models the
 //!   paper's §7 QoE analysis needs.
 
@@ -48,14 +48,13 @@ pub mod flow;
 pub mod harq;
 pub mod kpi;
 pub mod latency;
+mod leg;
 pub mod lte;
-pub mod multiuser;
 pub mod queue;
 pub mod rrc;
 pub mod scheduler;
 pub mod sim;
 pub mod sink;
-pub mod traffic;
 pub mod workload;
 
 pub use amc::AmcState;
@@ -69,5 +68,6 @@ pub use lte::LteAnchor;
 pub use queue::{Aqm, GnbQueue, QueueConfig};
 pub use sim::{UeSim, UeSimConfig};
 pub use sink::{SlotSink, Tee};
-pub use traffic::{TrafficSource, TrafficState};
-pub use workload::{AqmSpec, CwndTransport, FullBuffer, RtcFrames, Workload, WorkloadSpec};
+pub use workload::{
+    AqmSpec, Cbr, CwndTransport, FiniteTransfer, FullBuffer, RtcFrames, Workload, WorkloadSpec,
+};

@@ -5,9 +5,9 @@
 //! single-UE scheduler is a full-allocation scheduler. Overheads are where
 //! real deployments differ from naive accounting: 1 PDCCH symbol, 2-symbol
 //! DM-RS (24 REs) and ~1 symbol's worth of CSI-RS/TRS overhead per PRB.
-//! With several UEs ([`crate::multiuser`]) the frequency domain is split
-//! per the configured policy, which is how Fig. 14's "RBs halve with two
-//! active users" arises.
+//! With several UEs ([`crate::cell`]) the frequency domain is split into
+//! integer grants per the configured policy, which is how Fig. 14's "RBs
+//! halve with two active users" arises.
 
 use crate::config::CellConfig;
 use nr_phy::resource::RbAllocation;
@@ -124,9 +124,9 @@ pub fn ul_allocation(cfg: &CellConfig, slot: u64, share: f64) -> Option<RbAlloca
 /// `pattern_len` slots (period 1 for FDD) — so a [`crate::carrier::Carrier`]
 /// computes one cycle up front and indexes per slot instead of re-deriving
 /// symbol counts and PRB rounding 2000 times a second. Lookups for a
-/// different share than the table was built for (the multi-UE drivers pass
-/// per-slot splits) fall through to the direct computation, which is
-/// allocation-free either way.
+/// different share than the table was built for (a carrier loaded by
+/// other users steps at a fractional share) fall through to the direct
+/// computation, which is allocation-free either way.
 #[derive(Debug, Clone)]
 pub struct AllocationTable {
     period: u64,

@@ -6,11 +6,12 @@
 //! state machine the slot loop drives — each slot it *offers* bits toward
 //! the gNB queue ([`crate::queue::GnbQueue`]), and each transport-block
 //! outcome (delivered with a measured delay, or lost to HARQ exhaustion /
-//! queue drop) is fed back. Three implementations ship:
+//! queue drop) is fed back. Five implementations ship:
 //!
-//! * [`FullBuffer`] — saturating, byte-identical to the legacy
-//!   [`crate::traffic::TrafficSource::FullBuffer`] path (it bypasses the
-//!   queue entirely and never consumes randomness);
+//! * [`FullBuffer`] — saturating, the paper's iPerf methodology (it
+//!   bypasses the queue entirely and never consumes randomness);
+//! * [`Cbr`] — a constant bitrate arriving a slot's worth at a time;
+//! * [`FiniteTransfer`] — a file download: everything arrives at once;
 //! * [`CwndTransport`] — a congestion-window + retransmission transport
 //!   coupled to per-slot HARQ/BLER outcomes, sending in flowlet-style
 //!   bursts gated by a minimum send gap;
@@ -22,8 +23,8 @@
 //! Workloads draw **no randomness**: every decision is a pure function of
 //! the slot clock and the outcome feedback, which are themselves pure
 //! functions of the session seed. Campaigns over any workload are
-//! therefore byte-identical across thread counts, exactly like the
-//! legacy traffic sources (`ran/tests/workload_props.rs`).
+//! therefore byte-identical across thread counts
+//! (`ran/tests/workload_props.rs`).
 
 use crate::queue::QueueConfig;
 use serde::{Deserialize, Serialize};
@@ -106,10 +107,9 @@ impl Clone for Box<dyn Workload> {
 // FullBuffer
 // ---------------------------------------------------------------------------
 
-/// The saturating workload: every slot offers [`Offer::Saturating`].
-/// Byte-identical to the legacy `TrafficSource::FullBuffer` path — it
-/// consumes no randomness and bypasses the queue, so routing it through
-/// the trait changes no figure.
+/// The saturating workload: every slot offers [`Offer::Saturating`]. It
+/// consumes no randomness and bypasses the queue, so every grant is
+/// filled to its full transport block.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FullBuffer {
     delivered_bits: u64,
@@ -136,6 +136,101 @@ impl Workload for FullBuffer {
             lost_bits: self.lost_bits,
             ..WorkloadStats::default()
         }
+    }
+
+    fn clone_box(&self) -> Box<dyn Workload> {
+        Box::new(*self)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Cbr and FiniteTransfer
+// ---------------------------------------------------------------------------
+
+/// Constant bitrate: `rate_mbps` arrives smoothly, a slot's worth each
+/// slot. Fractional bits carry over to the next slot, so the long-run
+/// offered rate is exact at any slot duration.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Cbr {
+    rate_mbps: f64,
+    carry_bits: f64,
+    stats: WorkloadStats,
+}
+
+impl Cbr {
+    /// A source offering `rate_mbps`.
+    pub fn new(rate_mbps: f64) -> Self {
+        Cbr { rate_mbps, carry_bits: 0.0, stats: WorkloadStats::default() }
+    }
+}
+
+impl Workload for Cbr {
+    fn offer(&mut self, _now_s: f64, dt_s: f64) -> Offer {
+        self.carry_bits += self.rate_mbps * 1e6 * dt_s;
+        let bits = self.carry_bits.floor();
+        self.carry_bits -= bits;
+        self.stats.offered_bits += bits as u64;
+        Offer::Bits(bits as u64)
+    }
+
+    fn on_delivered(&mut self, _now_s: f64, bits: u32, _delay_s: f64) {
+        self.stats.delivered_bits += u64::from(bits);
+    }
+
+    fn on_lost(&mut self, _now_s: f64, bits: u32) {
+        self.stats.lost_bits += u64::from(bits);
+    }
+
+    fn on_queue_drop(&mut self, _now_s: f64, bits: u64) {
+        self.stats.lost_bits += bits;
+    }
+
+    fn stats(&self) -> WorkloadStats {
+        self.stats
+    }
+
+    fn clone_box(&self) -> Box<dyn Workload> {
+        Box::new(*self)
+    }
+}
+
+/// A finite transfer (file download): `total_megabits` arrive in the
+/// first slot, then nothing.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FiniteTransfer {
+    unsent_bits: u64,
+    stats: WorkloadStats,
+}
+
+impl FiniteTransfer {
+    /// A transfer of `total_megabits`.
+    pub fn new(total_megabits: f64) -> Self {
+        let unsent_bits = (total_megabits * 1e6) as u64;
+        FiniteTransfer { unsent_bits, stats: WorkloadStats::default() }
+    }
+}
+
+impl Workload for FiniteTransfer {
+    fn offer(&mut self, _now_s: f64, _dt_s: f64) -> Offer {
+        let bits = std::mem::take(&mut self.unsent_bits);
+        self.stats.offered_bits += bits;
+        Offer::Bits(bits)
+    }
+
+    fn on_delivered(&mut self, _now_s: f64, bits: u32, _delay_s: f64) {
+        self.stats.delivered_bits += u64::from(bits);
+    }
+
+    fn on_lost(&mut self, _now_s: f64, bits: u32) {
+        self.stats.lost_bits += u64::from(bits);
+    }
+
+    fn on_queue_drop(&mut self, _now_s: f64, bits: u64) {
+        self.stats.lost_bits += bits;
+    }
+
+    fn stats(&self) -> WorkloadStats {
+        self.stats
     }
 
     fn clone_box(&self) -> Box<dyn Workload> {
@@ -505,7 +600,7 @@ impl AqmSpec {
 /// session leg gets independent state.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum WorkloadSpec {
-    /// Saturating full buffer (the default; byte-identical to legacy).
+    /// Saturating full buffer (the default).
     FullBuffer,
     /// Congestion-window transport ([`CwndTransport`] with defaults).
     Cwnd {
@@ -558,6 +653,39 @@ mod tests {
         let s = w.stats();
         assert_eq!(s.delivered_bits, 1000);
         assert_eq!(s.lost_bits, 200);
+    }
+
+    #[test]
+    fn cbr_offers_a_slot_of_rate_and_carries_fractions() {
+        let mut w = Cbr::new(100.0);
+        // 0.5 ms at 100 Mbps = 50 kbit, exactly.
+        assert_eq!(w.offer(0.0, 0.0005), Offer::Bits(50_000));
+        // 1 Mbps over 2^-21 s steps is ~0.477 bit per step: fractions
+        // carry until a whole bit has accrued.
+        let mut slow = Cbr::new(1.0);
+        let offered: Vec<u64> = (0..10)
+            .map(|_| match slow.offer(0.0, 2f64.powi(-21)) {
+                Offer::Bits(b) => b,
+                Offer::Saturating => panic!("CBR never saturates"),
+            })
+            .collect();
+        assert_eq!(offered, [0, 0, 1, 0, 1, 0, 1, 0, 1, 0]);
+        w.on_delivered(0.0, 30_000, 0.0);
+        w.on_lost(0.0, 1_000);
+        w.on_queue_drop(0.0, 500);
+        let s = w.stats();
+        assert_eq!((s.offered_bits, s.delivered_bits, s.lost_bits), (50_000, 30_000, 1_500));
+    }
+
+    #[test]
+    fn finite_transfer_arrives_once() {
+        let mut w = FiniteTransfer::new(1.0);
+        assert_eq!(w.offer(0.0, 0.0005), Offer::Bits(1_000_000));
+        assert_eq!(w.offer(0.0005, 0.0005), Offer::Bits(0));
+        w.on_delivered(0.001, 999_000, 0.001);
+        w.on_lost(0.002, 1_000);
+        let s = w.stats();
+        assert_eq!((s.offered_bits, s.delivered_bits, s.lost_bits), (1_000_000, 999_000, 1_000));
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //! 3. **N=1 degeneration** — a one-UE cell replays the single-UE
 //!    [`Carrier`] byte for byte, for every scheduling policy.
 //! 4. **Legacy equivalence** — the engine agrees with the original
-//!    `MultiUeSim` driver: exactly when per-UE shares land on integers
-//!    (and for every whole-slot policy), within one PRB of rounding slack
-//!    otherwise.
+//!    `MultiUeSim` driver (`tests/support/multiuser.rs`): exactly when
+//!    per-UE shares land on integers (and for every whole-slot policy),
+//!    within one PRB of rounding slack otherwise.
 
 use radio_channel::channel::{ChannelConfig, ChannelSimulator};
 use radio_channel::geometry::{DeploymentLayout, Position};
@@ -23,8 +23,10 @@ use ran::carrier::{Carrier, TrafficPattern};
 use ran::cell::{CellParams, CellSim, CellSink, UeSpec};
 use ran::config::CellConfig;
 use ran::kpi::{Direction, KpiTrace, SlotKpi};
-use ran::multiuser::{MultiUeParticipant, MultiUeSim};
 use ran::scheduler::{split_prbs, SchedulerPolicy};
+
+mod support;
+use support::multiuser::{MultiUeParticipant, MultiUeSim};
 
 const POLICIES: [SchedulerPolicy; 4] = [
     SchedulerPolicy::EqualShare,
