@@ -13,15 +13,11 @@ use midband5g::experiments::multiuser;
 use midband5g::nr_phy::cqi::{CqiTable, CqiToMcsPolicy};
 use midband5g::nr_phy::tdd::{SpecialSlotConfig, TddPattern};
 use midband5g::operators::Operator;
-use midband5g::radio_channel::channel::{ChannelConfig, ChannelSimulator};
-use midband5g::radio_channel::geometry::{DeploymentLayout, Position};
-use midband5g::radio_channel::link::LinkModel;
+use midband5g::radio_channel::geometry::Position;
 use midband5g::radio_channel::mobility::MobilityModel;
 use midband5g::radio_channel::rng::SeedTree;
 use midband5g::ran::amc::OllaConfig;
-use midband5g::ran::carrier::{Carrier, TrafficPattern};
 use midband5g::ran::cell::{CellParams, CellSim, UeSpec};
-use midband5g::ran::config::CellConfig;
 use midband5g::ran::harq::HarqConfig;
 use midband5g::ran::kpi::{Direction, KpiTrace};
 use midband5g::ran::latency::{mean_total_ms, run_probes, LatencyProbeConfig};
@@ -29,26 +25,20 @@ use midband5g::ran::scheduler::SchedulerPolicy;
 use midband5g::video::{AbrKind, PlayerConfig, PlayerSim, QoeMetrics, QualityLadder};
 use midband5g_bench::RunArgs;
 
-fn carrier_at(distance: f64, seed: u64, tweak: impl FnOnce(&mut Carrier)) -> (Carrier, Position) {
-    let cfg = CellConfig::midband(90, "DDDSU");
-    let pos = Position::new(distance, 0.0);
-    let seeds = SeedTree::new(seed);
-    let channel = ChannelSimulator::new(
-        ChannelConfig::midband_urban(cfg.n_rb),
-        DeploymentLayout::single_site(),
-        MobilityModel::Stationary { position: pos },
-        &seeds,
-    );
-    let mut c = Carrier::new(cfg, 0, channel, LinkModel::midband_qam256(), &seeds);
-    tweak(&mut c);
-    (c, pos)
+/// A lone UE `distance` metres from a 90 MHz site; `tweak` adjusts the
+/// cell before it is built.
+fn ue_at(distance: f64, seed: u64, tweak: impl FnOnce(&mut CellParams)) -> CellSim {
+    let mut params = CellParams::midband(90, SchedulerPolicy::ProportionalFair);
+    tweak(&mut params);
+    let spot = MobilityModel::Stationary { position: Position::new(distance, 0.0) };
+    CellSim::single(params, spot, &SeedTree::new(seed))
 }
 
-fn run_carrier(mut c: Carrier, pos: Position, slots: u64) -> KpiTrace {
+/// The UE's DL records over `slots` slots.
+fn run_dl(mut ue: CellSim, slots: u64) -> KpiTrace {
     let mut t = KpiTrace::new();
-    for _ in 0..slots {
-        let out = c.step(pos, 0.0, TrafficPattern::DL, false, 1.0, 1.0);
-        t.push(out.dl);
+    for kpi in ue.run(slots).swap_remove(0).direction(Direction::Dl) {
+        t.push(kpi);
     }
     t
 }
@@ -56,10 +46,9 @@ fn run_carrier(mut c: Carrier, pos: Position, slots: u64) -> KpiTrace {
 fn ablate_olla(seed: u64) {
     println!("## OLLA ablation (290 m cell edge, 20 s)");
     for enabled in [true, false] {
-        let (c, pos) = carrier_at(290.0, seed, |c| {
-            c.set_olla(OllaConfig { enabled, ..OllaConfig::default() })
-        });
-        let t = run_carrier(c, pos, 40_000);
+        let mut ue = ue_at(290.0, seed, |_| {});
+        ue.set_olla(0, OllaConfig { enabled, ..OllaConfig::default() });
+        let t = run_dl(ue, 40_000);
         println!(
             "  OLLA {:<5} → DL {:>7.1} Mbps, BLER {:>5.1}%",
             enabled,
@@ -73,11 +62,11 @@ fn ablate_olla(seed: u64) {
 fn ablate_vendor_offset(seed: u64) {
     println!("\n## Vendor CQI→MCS offset sweep (good coverage, 15 s)");
     for offset in [-4i8, -2, 0, 2, 4] {
-        let (c, pos) = carrier_at(120.0, seed, |c| {
-            c.cfg.mcs_policy =
+        let ue = ue_at(120.0, seed, |p| {
+            p.cell.mcs_policy =
                 CqiToMcsPolicy { index_offset: offset, ..CqiToMcsPolicy::neutral(CqiTable::Table2) };
         });
-        let t = run_carrier(c, pos, 30_000);
+        let t = run_dl(ue, 30_000);
         println!(
             "  offset {:>3} → DL {:>7.1} Mbps, BLER {:>5.1}%",
             offset,
@@ -92,10 +81,9 @@ fn ablate_vendor_offset(seed: u64) {
 fn ablate_harq(seed: u64) {
     println!("\n## HARQ max-attempts ablation (330 m, 20 s)");
     for max_attempts in [1u8, 2, 4] {
-        let (c, pos) = carrier_at(330.0, seed, |c| {
-            c.set_harq(HarqConfig { max_attempts, ..HarqConfig::default() })
-        });
-        let t = run_carrier(c, pos, 40_000);
+        let mut ue = ue_at(330.0, seed, |_| {});
+        ue.set_harq(0, HarqConfig { max_attempts, ..HarqConfig::default() });
+        let t = run_dl(ue, 40_000);
         println!(
             "  attempts {:>2} → DL {:>7.1} Mbps",
             max_attempts,
@@ -140,8 +128,7 @@ fn ablate_scheduler(seed: u64) {
     for policy in
         [SchedulerPolicy::EqualShare, SchedulerPolicy::RoundRobinSlots, SchedulerPolicy::ProportionalFair]
     {
-        // Verizon's carrier 0: 162 RBs split two ways lands on integer
-        // shares, so the cell engine matches per-UE carrier clones exactly.
+        // Verizon's carrier 0: 162 RBs split two ways lands on whole PRBs.
         let params = CellParams { policy, ..multiuser::cell_params(Operator::VerizonUs) };
         let ues = [UeSpec::at(45.0, 0.0), UeSpec::at(117.0, 0.0)];
         let mut sim = CellSim::new(params, &ues, &SeedTree::new(seed));

@@ -3,7 +3,7 @@
 use measure::session::{MobilityKind, SessionSpec};
 use operators::Operator;
 use radio_channel::rng::SeedTree;
-use ran::carrier::TrafficPattern;
+use ran::cell::TrafficPattern;
 use ran::kpi::Direction;
 use ran::sim::UeSimConfig;
 use serde::{Deserialize, Serialize};

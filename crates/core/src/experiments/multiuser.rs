@@ -1,16 +1,13 @@
 //! Figure 14: variability between users in the same cell — two locations
 //! (45 m / 117 m from the gNB), measured sequentially and simultaneously.
 //!
-//! Driven by the loaded-cell engine ([`ran::cell::CellSim`]); the original
-//! per-UE-carrier driver survives only as the equivalence reference in
-//! `ran/tests/support/multiuser.rs`.
+//! Driven by the slot engine ([`ran::cell::CellSim`]) with two UEs.
 
 use analysis::variability::variability;
 use operators::Operator;
 use radio_channel::geometry::DeploymentLayout;
 use radio_channel::rng::SeedTree;
 use ran::cell::{CellParams, CellSim, UeSpec};
-use ran::carrier::TrafficPattern;
 use ran::kpi::{Direction, KpiTrace};
 use ran::scheduler::SchedulerPolicy;
 use serde::{Deserialize, Serialize};
@@ -45,12 +42,13 @@ pub fn cell_params(op: Operator) -> CellParams {
     let profile = op.profile();
     let carrier = &profile.carriers[0];
     CellParams {
-        cell: carrier.cell.clone(),
-        channel: profile.channel_config(carrier),
-        layout: DeploymentLayout::single_site(),
-        link: profile.link_model(carrier),
         policy: SchedulerPolicy::EqualShare,
-        traffic: TrafficPattern::DL,
+        ..CellParams::new(
+            carrier.cell.clone(),
+            profile.channel_config(carrier),
+            DeploymentLayout::single_site(),
+            profile.link_model(carrier),
+        )
     }
 }
 

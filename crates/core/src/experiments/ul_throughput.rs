@@ -91,7 +91,7 @@ pub fn figure10(sessions: u64, duration_s: f64, seed: u64) -> Vec<UlRow> {
             let mut sim = profile.build_ue_sim_with_routing(
                 spec.mobility_model(),
                 UeSimConfig {
-                    traffic: ran::carrier::TrafficPattern::BOTH,
+                    traffic: ran::cell::TrafficPattern::BOTH,
                     routing: UplinkRouting::NrOnly,
                 },
                 &spec.seeds(),

@@ -48,7 +48,7 @@ pub fn transfer_completion_s(
     let mut sim = profile.build_ue_sim(
         spec.mobility_model(),
         ran::sim::UeSimConfig {
-            traffic: ran::carrier::TrafficPattern::DL,
+            traffic: ran::cell::TrafficPattern::DL,
             routing: profile.routing,
         },
         &spec.seeds(),
@@ -165,7 +165,7 @@ mod tests {
             let mut sim = profile.build_ue_sim(
                 spec.mobility_model(),
                 ran::sim::UeSimConfig {
-                    traffic: ran::carrier::TrafficPattern::DL,
+                    traffic: ran::cell::TrafficPattern::DL,
                     routing: profile.routing,
                 },
                 &spec.seeds(),

@@ -4,7 +4,7 @@ use operators::Operator;
 use radio_channel::geometry::Position;
 use radio_channel::mobility::MobilityModel;
 use radio_channel::rng::SeedTree;
-use ran::carrier::TrafficPattern;
+use ran::cell::TrafficPattern;
 use ran::kpi::{Direction, KpiTrace, SlotKpi};
 use ran::sink::SlotSink;
 use ran::workload::{WorkloadSpec, WorkloadStats};
@@ -191,7 +191,7 @@ impl SessionResult {
         if !workload.is_full_buffer() {
             for carrier in sim.carriers_mut() {
                 let (w, q) = workload.build();
-                carrier.set_dl_workload(w, q);
+                carrier.set_dl_workload(0, w, q);
             }
         }
         let mut counting = CountingSink { inner: sink, pushed: 0 };
@@ -200,13 +200,13 @@ impl SessionResult {
         let mut stats = WorkloadStats::default();
         let mut delay_samples_ms = Vec::new();
         for carrier in sim.carriers_mut() {
-            let s = carrier.dl_traffic().workload_stats();
+            let s = carrier.dl_flow(0).workload_stats();
             stats.offered_bits += s.offered_bits;
             stats.delivered_bits += s.delivered_bits;
             stats.lost_bits += s.lost_bits;
             stats.completed_units += s.completed_units;
             stats.cwnd_bits = stats.cwnd_bits.max(s.cwnd_bits);
-            carrier.dl_traffic_mut().take_delay_samples(&mut delay_samples_ms);
+            carrier.dl_flow_mut(0).take_delay_samples(&mut delay_samples_ms);
         }
         let reg = obs::registry();
         reg.counter("session.runs").inc();

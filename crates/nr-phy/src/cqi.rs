@@ -10,6 +10,7 @@
 use crate::error::PhyError;
 use crate::mcs::{McsIndex, McsTable, Modulation};
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// A channel quality indicator, 0..=15. CQI 0 means "out of range".
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -135,6 +136,29 @@ impl CqiTable {
             .unwrap_or(0.0)
     }
 
+    /// The highest index of `mcs_table` whose spectral efficiency does not
+    /// exceed this table's row for `cqi` — the SE match every CQI→MCS
+    /// mapping starts from. Memoised: the scheduler maps a CQI on every
+    /// grant, and the direct scan divides once per MCS row.
+    pub fn se_matched_mcs(self, cqi: Cqi, mcs_table: McsTable) -> McsIndex {
+        const MCS_TABLES: [McsTable; 3] = [McsTable::Qam64, McsTable::Qam256, McsTable::Qam64LowSe];
+        static LUT: OnceLock<[[[u8; 16]; 3]; 2]> = OnceLock::new();
+        let lut = LUT.get_or_init(|| {
+            let mut lut = [[[0; 16]; 3]; 2];
+            for (c_i, c) in [CqiTable::Table1, CqiTable::Table2].into_iter().enumerate() {
+                for (m_i, m) in MCS_TABLES.into_iter().enumerate() {
+                    for q in 0..16 {
+                        lut[c_i][m_i][q as usize] =
+                            m.highest_index_at_or_below(c.spectral_efficiency(Cqi(q))).0;
+                    }
+                }
+            }
+            lut
+        });
+        let m_i = MCS_TABLES.iter().position(|&m| m == mcs_table).expect("every table listed");
+        McsIndex(lut[self as usize][m_i][usize::from(cqi.0)])
+    }
+
     /// The matching MCS table used alongside this CQI table.
     pub const fn companion_mcs_table(self) -> McsTable {
         match self {
@@ -182,8 +206,7 @@ impl CqiToMcsPolicy {
         if cqi.is_out_of_range() {
             return McsIndex(0);
         }
-        let target_se = self.cqi_table.spectral_efficiency(cqi);
-        let base = self.mcs_table.highest_index_at_or_below(target_se);
+        let base = self.cqi_table.se_matched_mcs(cqi, self.mcs_table);
         let shifted = (base.0 as i16 + self.index_offset as i16)
             .clamp(0, self.mcs_table.max_index().0 as i16);
         McsIndex(shifted as u8)
@@ -193,6 +216,20 @@ impl CqiToMcsPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn memoised_se_match_equals_the_direct_scan() {
+        for cqi_table in [CqiTable::Table1, CqiTable::Table2] {
+            for mcs_table in [McsTable::Qam64, McsTable::Qam256, McsTable::Qam64LowSe] {
+                for q in 0..=15 {
+                    let cqi = Cqi::new(q).unwrap();
+                    let direct =
+                        mcs_table.highest_index_at_or_below(cqi_table.spectral_efficiency(cqi));
+                    assert_eq!(cqi_table.se_matched_mcs(cqi, mcs_table), direct);
+                }
+            }
+        }
+    }
 
     #[test]
     fn cqi_range_enforced() {

@@ -6,7 +6,7 @@ use radio_channel::geometry::DeploymentLayout;
 use radio_channel::link::{LinkModel, RankProfile};
 use radio_channel::mobility::MobilityModel;
 use radio_channel::rng::SeedTree;
-use ran::carrier::Carrier;
+use ran::cell::CellParams;
 use ran::config::{CellConfig, UplinkRouting};
 use ran::lte::{LteAnchor, LteConfig};
 use ran::sim::{UeSim, UeSimConfig};
@@ -180,19 +180,18 @@ impl OperatorProfile {
         sim_config: UeSimConfig,
         seeds: &SeedTree,
     ) -> UeSim {
-        let carriers: Vec<Carrier> = self
+        let carriers = self
             .carriers
             .iter()
             .enumerate()
             .map(|(i, cp)| {
-                let cc_seeds = seeds.child_indexed("cc", i as u64);
-                let channel = ChannelSimulator::new(
+                let cell = CellParams::new(
+                    cp.cell.clone(),
                     self.channel_config(cp),
                     self.coverage.layout.clone(),
-                    mobility.clone(),
-                    &cc_seeds,
+                    self.link_model(cp),
                 );
-                Carrier::new(cp.cell.clone(), i as u8, channel, self.link_model(cp), &cc_seeds)
+                (cell, seeds.child_indexed("cc", i as u64))
             })
             .collect();
         let lte = self.lte.map(|lte_cfg| {

@@ -9,7 +9,7 @@ use operators::Operator;
 use radio_channel::geometry::Position;
 use radio_channel::mobility::MobilityModel;
 use radio_channel::rng::SeedTree;
-use ran::carrier::TrafficPattern;
+use ran::cell::TrafficPattern;
 use ran::kpi::{Direction, KpiTrace};
 use ran::sim::UeSimConfig;
 

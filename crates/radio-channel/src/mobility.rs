@@ -69,17 +69,22 @@ impl MobilityModel {
         }
     }
 
-    /// Instantiate the stateful walker.
-    pub fn into_state(self, seeds: &SeedTree) -> MobilityState {
-        let rng = seeds.stream("mobility");
-        let position = match &self {
+    /// Where the pattern starts.
+    pub fn start(&self) -> Position {
+        match self {
             MobilityModel::Stationary { position } => *position,
             MobilityModel::RandomWaypoint { center, .. } => *center,
             MobilityModel::Route { waypoints, .. } => {
                 assert!(waypoints.len() >= 2, "a route needs at least two waypoints");
                 waypoints[0]
             }
-        };
+        }
+    }
+
+    /// Instantiate the stateful walker.
+    pub fn into_state(self, seeds: &SeedTree) -> MobilityState {
+        let rng = seeds.stream("mobility");
+        let position = self.start();
         MobilityState { model: self, position, target: None, route_leg: 0, rng }
     }
 }

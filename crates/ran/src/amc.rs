@@ -115,8 +115,7 @@ impl AmcState {
             // Fallback grants SE-match the reported CQI against the 64QAM
             // table (CQI 0 → MCS 0) and still honour the outer loop, so a
             // drifting channel cannot pin the BLER high.
-            let target_se = nr_phy::cqi::CqiTable::Table1.spectral_efficiency(csi.cqi);
-            let base = table.highest_index_at_or_below(target_se);
+            let base = nr_phy::cqi::CqiTable::Table1.se_matched_mcs(csi.cqi, table);
             let adjusted = (base.0 as f64 + self.olla_offset)
                 .round()
                 .clamp(0.0, table.max_index().0 as f64) as u8;

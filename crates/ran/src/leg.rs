@@ -1,9 +1,8 @@
 //! The transmit leg: one UE's data path through one granted slot.
 //!
-//! Both slot drivers — the single-UE [`crate::carrier::Carrier`] and the
-//! loaded-cell [`crate::cell::CellSim`] — resolve the slot's RB
-//! allocation their own way (a share of the carrier, or an integer PRB
-//! grant) and hand it to [`transmit`], which runs the rest of the paper's
+//! The slot engine ([`crate::cell::CellSim`]) resolves each UE's integer
+//! PRB grant into an RB allocation and hands it to [`transmit`], which
+//! runs the rest of the paper's
 //! Fig. 21 loop in either direction: grant (MCS, layers), retransmission
 //! or a fresh transport block from the flow, BLER draw, HARQ bookkeeping
 //! and the slot's KPI record. DL and UL differ only in data: the grant
@@ -27,8 +26,8 @@ use rand_chacha::ChaCha12Rng;
 /// (23 dBm vs 44 dBm, partly offset by gNB receive gain).
 const UL_SINR_PENALTY_DB: f64 = 6.0;
 
-/// Cached handles of the slot-engine counters. Both drivers register the
-/// same names, so obs totals aggregate across them. Handles resolve once
+/// Cached handles of the slot-engine counters. Every cell registers the
+/// same names, so obs totals aggregate across cells. Handles resolve once
 /// at construction and each step flushes its [`MetricDeltas`] as at most
 /// one atomic add per counter (`ran/tests/alloc_free.rs` holds with these
 /// compiled in; `ran/tests/metric_totals.rs` pins the totals).

@@ -15,19 +15,20 @@
 //! 4. every slot is logged as a KPI record — the XCAL-equivalent trace the
 //!    `measure` and `analysis` crates consume ([`kpi`]).
 //!
-//! Steps 2–3 run in one transmit leg shared by both slot drivers and both
-//! directions. On top of the single-carrier loop sit:
+//! One slot engine runs the loop:
 //!
-//! * [`carrier`] / [`sim`] — the per-UE simulator, including carrier
+//! * [`cell`] — N UEs (1 → 10k+) contending for one cell's RB budget
+//!   under proportional-fair, round-robin, max-CQI or equal-share
+//!   scheduling, with structure-of-arrays state and streaming per-UE
+//!   sinks (the §5.2 / Fig. 14 mechanism at scale); steps 2–3 run in one
+//!   transmit leg shared by both directions;
+//! * [`sim`] — the per-UE simulator: one one-UE cell per component
+//!   carrier moved along the UE's trajectory, including carrier
 //!   aggregation across mixed numerologies (T-Mobile's n41+n25 combos,
 //!   Appendix 10.5);
 //! * [`lte`] + NSA uplink routing ([`config::UplinkRouting`]) — the
 //!   EN-DC behaviour behind the paper's §4.2 finding that operators often
 //!   push UL traffic to LTE;
-//! * [`cell`] — the loaded-cell engine: N UEs (1 → 10k+) contending for
-//!   one cell's RB budget under proportional-fair, round-robin, max-CQI
-//!   or equal-share scheduling, with structure-of-arrays state and
-//!   streaming per-UE sinks (the §5.2 / Fig. 14 mechanism at scale);
 //! * [`latency`] — the slot-aligned PHY user-plane latency probe model of
 //!   §4.3 (TDD alignment + processing + HARQ);
 //! * [`rrc`] — RRC state promotion costs the paper's methodology controls
@@ -41,7 +42,6 @@
 //!   paper's §7 QoE analysis needs.
 
 pub mod amc;
-pub mod carrier;
 pub mod cell;
 pub mod config;
 pub mod flow;
@@ -58,8 +58,7 @@ pub mod sink;
 pub mod workload;
 
 pub use amc::AmcState;
-pub use carrier::Carrier;
-pub use cell::{CellParams, CellSim, CellSink, CellTraces, UeSpec};
+pub use cell::{CellParams, CellSim, CellSink, CellTraces, TrafficPattern, UeSpec};
 pub use config::{CellConfig, UplinkRouting};
 pub use flow::Flow;
 pub use kpi::{KpiTrace, SlotKpi};

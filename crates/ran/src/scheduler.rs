@@ -101,81 +101,6 @@ pub fn split_prbs(budget: u16, k: usize, rank: usize, slot: u64) -> u16 {
     base + u16::from(rotated < rem)
 }
 
-/// DL allocation for a UE holding `share` (0..=1] of the carrier in this
-/// slot; `None` when the slot carries no DL symbols.
-pub fn dl_allocation(cfg: &CellConfig, slot: u64, share: f64) -> Option<RbAllocation> {
-    let n_prb = ((cfg.n_rb as f64 * share).round() as u16).clamp(1, cfg.n_rb);
-    dl_allocation_prbs(cfg, slot, n_prb)
-}
-
-/// UL allocation for a UE holding `share` of the carrier's UL RBs this
-/// slot; `None` when the slot carries no UL symbols. The cell-level
-/// `ul_rb_fraction` (operators reserving UL RBs) is applied on top.
-pub fn ul_allocation(cfg: &CellConfig, slot: u64, share: f64) -> Option<RbAllocation> {
-    let frac = (cfg.ul_rb_fraction * share).clamp(0.0, 1.0);
-    let n_prb = ((cfg.n_rb as f64 * frac).round() as u16).clamp(1, cfg.n_rb);
-    ul_allocation_prbs(cfg, slot, n_prb)
-}
-
-/// Precomputed per-TDD-cycle allocations for one (cell, share) pair.
-///
-/// [`dl_allocation`]/[`ul_allocation`] are pure functions of
-/// `(cfg, slot % pattern_len, share)` — the TDD pattern repeats every
-/// `pattern_len` slots (period 1 for FDD) — so a [`crate::carrier::Carrier`]
-/// computes one cycle up front and indexes per slot instead of re-deriving
-/// symbol counts and PRB rounding 2000 times a second. Lookups for a
-/// different share than the table was built for (a carrier loaded by
-/// other users steps at a fractional share) fall through to the direct
-/// computation, which is allocation-free either way.
-#[derive(Debug, Clone)]
-pub struct AllocationTable {
-    period: u64,
-    dl_share: f64,
-    ul_share: f64,
-    dl: Vec<Option<RbAllocation>>,
-    ul: Vec<Option<RbAllocation>>,
-}
-
-impl AllocationTable {
-    /// Precompute one TDD cycle of DL/UL allocations at the given shares.
-    pub fn new(cfg: &CellConfig, dl_share: f64, ul_share: f64) -> Self {
-        let period = cfg.tdd.as_ref().map(|p| p.len() as u64).unwrap_or(1).max(1);
-        AllocationTable {
-            period,
-            dl_share,
-            ul_share,
-            dl: (0..period).map(|s| dl_allocation(cfg, s, dl_share)).collect(),
-            ul: (0..period).map(|s| ul_allocation(cfg, s, ul_share)).collect(),
-        }
-    }
-
-    /// DL allocation for `slot`, bit-identical to
-    /// `dl_allocation(cfg, slot, share)`.
-    pub fn dl(&self, cfg: &CellConfig, slot: u64, share: f64) -> Option<RbAllocation> {
-        if share == self.dl_share {
-            self.dl[(slot % self.period) as usize]
-        } else {
-            dl_allocation(cfg, slot, share)
-        }
-    }
-
-    /// UL allocation for `slot`, bit-identical to
-    /// `ul_allocation(cfg, slot, share)`.
-    pub fn ul(&self, cfg: &CellConfig, slot: u64, share: f64) -> Option<RbAllocation> {
-        if share == self.ul_share {
-            self.ul[(slot % self.period) as usize]
-        } else {
-            ul_allocation(cfg, slot, share)
-        }
-    }
-
-    /// Whether `slot` carries any UL symbols (share-independent: presence
-    /// only depends on the pattern's symbol counts).
-    pub fn has_ul(&self, slot: u64) -> bool {
-        self.ul[(slot % self.period) as usize].is_some()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,8 +110,8 @@ mod tests {
     }
 
     #[test]
-    fn full_share_allocates_all_rbs() {
-        let a = dl_allocation(&cell(), 0, 1.0).unwrap();
+    fn full_budget_allocation_overheads() {
+        let a = dl_allocation_prbs(&cell(), 0, 245).unwrap();
         assert_eq!(a.n_prb, 245);
         assert_eq!(a.n_symbols, 13);
         // 12·13 − 24 − 12 = 120 data REs per PRB.
@@ -194,59 +119,32 @@ mod tests {
     }
 
     #[test]
-    fn half_share_halves_prbs() {
-        let a = dl_allocation(&cell(), 0, 0.5).unwrap();
-        assert_eq!(a.n_prb, 123); // round(245/2)
+    fn ul_slot_carries_no_dl_symbols() {
+        assert!(dl_allocation_prbs(&cell(), 4, 245).is_none());
+        assert!(ul_allocation_prbs(&cell(), 4, 245).is_some());
+        assert!(ul_allocation_prbs(&cell(), 0, 245).is_none());
     }
 
     #[test]
-    fn ul_slot_has_no_dl_allocation() {
-        assert!(dl_allocation(&cell(), 4, 1.0).is_none());
-        assert!(ul_allocation(&cell(), 4, 1.0).is_some());
-        assert!(ul_allocation(&cell(), 0, 1.0).is_none());
+    fn empty_grant_allocates_nothing() {
+        assert!(dl_allocation_prbs(&cell(), 0, 0).is_none());
+        assert!(ul_allocation_prbs(&cell(), 4, 0).is_none());
     }
 
     #[test]
     fn special_slot_shrinks_symbols() {
-        let a = dl_allocation(&cell(), 3, 1.0).unwrap();
+        let a = dl_allocation_prbs(&cell(), 3, 245).unwrap();
         assert_eq!(a.n_symbols, 9); // 10 DL symbols − 1 PDCCH
-        let u = ul_allocation(&cell(), 3, 1.0).unwrap();
+        let u = ul_allocation_prbs(&cell(), 3, 245).unwrap();
         assert_eq!(u.n_symbols, 2);
     }
 
     #[test]
-    fn ul_rb_fraction_applies() {
+    fn ul_rb_fraction_sets_the_ul_budget() {
         let mut c = cell();
         c.ul_rb_fraction = 0.4;
-        let a = ul_allocation(&c, 4, 1.0).unwrap();
-        assert_eq!(a.n_prb, 98); // round(245·0.4)
-    }
-
-    #[test]
-    fn allocation_never_zero_prbs() {
-        let a = dl_allocation(&cell(), 0, 0.0001).unwrap();
-        assert_eq!(a.n_prb, 1);
-    }
-
-    #[test]
-    fn allocation_table_matches_direct_computation() {
-        let mut tdd = cell();
-        tdd.ul_rb_fraction = 0.6;
-        let fdd = {
-            use nr_phy::band::Band;
-            use nr_phy::numerology::Numerology;
-            CellConfig::fdd(Band::N25, 20, Numerology::Mu0)
-        };
-        for cfg in [&tdd, &fdd] {
-            let table = AllocationTable::new(cfg, 1.0, 1.0);
-            for slot in 0..40u64 {
-                assert_eq!(table.dl(cfg, slot, 1.0), dl_allocation(cfg, slot, 1.0));
-                assert_eq!(table.ul(cfg, slot, 1.0), ul_allocation(cfg, slot, 1.0));
-                assert_eq!(table.has_ul(slot), cfg.ul_symbols(slot) > 0);
-                // Off-table shares fall through to the direct path.
-                assert_eq!(table.dl(cfg, slot, 0.5), dl_allocation(cfg, slot, 0.5));
-                assert_eq!(table.ul(cfg, slot, 0.25), ul_allocation(cfg, slot, 0.25));
-            }
-        }
+        assert_eq!(ul_prb_budget(&c), 98); // round(245·0.4)
+        c.ul_rb_fraction = 0.0;
+        assert_eq!(ul_prb_budget(&c), 1, "at least one PRB");
     }
 }

@@ -1,15 +1,17 @@
-//! The per-UE simulator: mobility + component carriers + NSA uplink
+//! The per-UE simulator: mobility, component carriers and NSA uplink
 //! routing, emitting one merged KPI trace.
 //!
-//! [`UeSim`] advances a single clock at the finest slot duration among its
-//! carriers; carriers with slower numerologies (T-Mobile's 15 kHz n25 FDD
-//! legs, with 1 ms slots against n41's 0.5 ms) step every 2^k ticks. This
-//! is how the paper's Table 3 mixed-numerology CA combos (Appendix 10.5)
-//! are simulated without fractional-slot bookkeeping.
+//! Each component carrier is a one-UE [`CellSim`]; [`UeSim`] moves all of
+//! them along the UE's trajectory and routes the UL between the PCell and
+//! the LTE anchor. It advances a single clock at the finest slot duration
+//! among its carriers; carriers with slower numerologies (T-Mobile's
+//! 15 kHz n25 FDD legs, with 1 ms slots against n41's 0.5 ms) step every
+//! 2^k ticks. This is how the paper's Table 3 mixed-numerology CA combos
+//! (Appendix 10.5) are simulated without fractional-slot bookkeeping.
 
-use crate::carrier::{Carrier, TrafficPattern};
+use crate::cell::{CellParams, CellSim, CellSink, TrafficPattern};
 use crate::config::UplinkRouting;
-use crate::kpi::KpiTrace;
+use crate::kpi::{Direction, KpiTrace, SlotKpi};
 use crate::lte::LteAnchor;
 use crate::sink::SlotSink;
 use obs::audit::{self, Invariant};
@@ -20,7 +22,7 @@ use radio_channel::rng::SeedTree;
 /// Configuration of a UE-level simulation run.
 #[derive(Debug, Clone)]
 pub struct UeSimConfig {
-    /// Saturating traffic directions.
+    /// Traffic directions.
     pub traffic: TrafficPattern,
     /// NSA uplink routing policy.
     pub routing: UplinkRouting,
@@ -35,16 +37,32 @@ impl Default for UeSimConfig {
     }
 }
 
+/// Forwards one carrier's records into the UE's sink, checking that the
+/// carrier's DL timestamps never run backwards.
+struct CarrierSink<'a, S: SlotSink> {
+    inner: &'a mut S,
+    last_time: &'a mut f64,
+}
+
+impl<S: SlotSink> CellSink for CarrierSink<'_, S> {
+    fn push(&mut self, _ue: u32, kpi: &SlotKpi) {
+        if kpi.direction == Direction::Dl && audit::enabled() {
+            audit::check(Invariant::TimeMonotone, kpi.time_s >= *self.last_time);
+            *self.last_time = kpi.time_s;
+        }
+        self.inner.push(kpi);
+    }
+}
+
 /// A complete single-UE simulation: mobility, NR carriers (PCell +
 /// optional SCells), optional LTE anchor.
 pub struct UeSim {
     mobility: MobilityState,
-    carriers: Vec<Carrier>,
+    /// One one-UE cell per component carrier, PCell first.
+    carriers: Vec<CellSim>,
     /// Tick divider per carrier: the carrier steps when
     /// `tick % divider == 0`.
     dividers: Vec<u64>,
-    /// Metres moved since each carrier's last step.
-    pending_move: Vec<f64>,
     lte: Option<LteAnchor>,
     lte_divider: u64,
     lte_pending_move: f64,
@@ -63,10 +81,15 @@ pub struct UeSim {
 }
 
 impl UeSim {
-    /// Assemble a simulation. Carrier 0 is the PCell (it carries the UL
-    /// leg and its CQI drives the NSA routing decision).
+    /// Assemble a simulation from one `(cell, seeds)` pair per component
+    /// carrier. Carrier `i` is the `i`-th pair: it carries index `i` in
+    /// its records, and its channel follows `mobility` drawn from its own
+    /// seeds. Carrier 0 is the PCell: it alone carries the NR UL leg, and
+    /// its CQI drives the NSA routing decision; SCells are DL-only
+    /// (commercial mid-band CA is DL-only, as the paper's footnote 4
+    /// records). `config.traffic` overrides each cell's traffic pattern.
     pub fn new(
-        carriers: Vec<Carrier>,
+        carriers: Vec<(CellParams, SeedTree)>,
         lte: Option<LteAnchor>,
         mobility: MobilityModel,
         config: UeSimConfig,
@@ -74,18 +97,26 @@ impl UeSim {
     ) -> Self {
         assert!(!carriers.is_empty(), "a UE needs at least one carrier");
         let base_slot_s =
-            carriers.iter().map(|c| c.slot_s()).fold(f64::INFINITY, f64::min);
+            carriers.iter().map(|(p, _)| p.cell.slot_s()).fold(f64::INFINITY, f64::min);
         let dividers: Vec<u64> = carriers
             .iter()
-            .map(|c| (c.slot_s() / base_slot_s).round() as u64)
+            .map(|(p, _)| (p.cell.slot_s() / base_slot_s).round() as u64)
             .collect();
         let lte_divider = (1e-3 / base_slot_s).round() as u64;
         let n = carriers.len();
+        let carriers = carriers
+            .into_iter()
+            .enumerate()
+            .map(|(i, (params, cc_seeds))| {
+                let traffic = TrafficPattern { dl: config.traffic.dl, ul: config.traffic.ul && i == 0 };
+                let params = CellParams { carrier: i as u8, traffic, ..params };
+                CellSim::single(params, mobility.clone(), &cc_seeds)
+            })
+            .collect();
         UeSim {
             mobility: mobility.into_state(seeds),
             carriers,
             dividers,
-            pending_move: vec![0.0; n],
             lte,
             lte_divider: lte_divider.max(1),
             lte_pending_move: 0.0,
@@ -104,8 +135,9 @@ impl UeSim {
         self.base_slot_s
     }
 
-    /// Borrow the carriers (inspection / ablation configuration).
-    pub fn carriers_mut(&mut self) -> &mut [Carrier] {
+    /// Borrow the carriers' cells (workloads, ablation configuration); the
+    /// UE is UE 0 of each.
+    pub fn carriers_mut(&mut self) -> &mut [CellSim] {
         &mut self.carriers
     }
 
@@ -157,8 +189,8 @@ impl UeSim {
 
         let moved = self.mobility.advance(self.base_slot_s);
         let position = self.mobility.position();
-        for m in &mut self.pending_move {
-            *m += moved;
+        for cell in &mut self.carriers {
+            cell.move_ue(0, position, moved);
         }
         self.lte_pending_move += moved;
 
@@ -166,31 +198,13 @@ impl UeSim {
         let ul_on_nr = match self.config.routing {
             UplinkRouting::NrOnly => true,
             UplinkRouting::LteOnly => false,
-            UplinkRouting::NrAboveCqi { threshold } => {
-                self.carriers[0].current_cqi() >= threshold
-            }
+            UplinkRouting::NrAboveCqi { threshold } => self.carriers[0].cqi(0) >= threshold,
         };
+        self.carriers[0].set_ul_enabled(0, ul_on_nr);
 
-        for (i, carrier) in self.carriers.iter_mut().enumerate() {
-            if !tick.is_multiple_of(self.dividers[i]) {
-                continue;
-            }
-            let mv = std::mem::take(&mut self.pending_move[i]);
-            // Only the PCell carries NR UL; SCells are DL-only (commercial
-            // mid-band CA is DL-only, as the paper's footnote 4 records).
-            let traffic = if i == 0 {
-                self.config.traffic
-            } else {
-                TrafficPattern { dl: self.config.traffic.dl, ul: false }
-            };
-            let out = carrier.step(position, mv, traffic, ul_on_nr, 1.0, 1.0);
-            if audit::enabled() {
-                audit::check(Invariant::TimeMonotone, out.dl.time_s >= self.last_time[i]);
-                self.last_time[i] = out.dl.time_s;
-            }
-            sink.push(&out.dl);
-            if let Some(ul) = out.ul {
-                sink.push(&ul);
+        for (i, cell) in self.carriers.iter_mut().enumerate() {
+            if tick.is_multiple_of(self.dividers[i]) {
+                cell.step_into(&mut CarrierSink { inner: sink, last_time: &mut self.last_time[i] });
             }
         }
 
@@ -225,15 +239,12 @@ mod tests {
     use radio_channel::geometry::{DeploymentLayout, Position};
     use radio_channel::link::LinkModel;
 
-    fn mk_carrier(cfg: CellConfig, index: u8, pos: Position, seed: u64) -> Carrier {
+    fn mk_carrier(cfg: CellConfig, index: u8, seed: u64) -> (CellParams, SeedTree) {
         let seeds = SeedTree::new(seed).child_indexed("cc", index as u64);
-        let channel = ChannelSimulator::new(
-            ChannelConfig::midband_urban(cfg.n_rb),
-            DeploymentLayout::single_site(),
-            MobilityModel::Stationary { position: pos },
-            &seeds,
-        );
-        Carrier::new(cfg, index, channel, LinkModel::midband_qam256(), &seeds)
+        let channel = ChannelConfig::midband_urban(cfg.n_rb);
+        let params =
+            CellParams::new(cfg, channel, DeploymentLayout::single_site(), LinkModel::midband_qam256());
+        (params, seeds)
     }
 
     fn mk_lte(pos: Position, seed: u64) -> LteAnchor {
@@ -251,7 +262,7 @@ mod tests {
     fn carrier_aggregation_adds_throughput() {
         let pos = Position::new(80.0, 0.0);
         let single = {
-            let c = mk_carrier(CellConfig::midband(100, "DDDSU"), 0, pos, 1);
+            let c = mk_carrier(CellConfig::midband(100, "DDDSU"), 0, 1);
             let mut sim = UeSim::new(
                 vec![c],
                 None,
@@ -262,8 +273,8 @@ mod tests {
             sim.run(5.0).mean_throughput_mbps(Direction::Dl)
         };
         let aggregated = {
-            let c0 = mk_carrier(CellConfig::midband(100, "DDDSU"), 0, pos, 1);
-            let c1 = mk_carrier(CellConfig::midband(40, "DDDSU"), 1, pos, 1);
+            let c0 = mk_carrier(CellConfig::midband(100, "DDDSU"), 0, 1);
+            let c1 = mk_carrier(CellConfig::midband(40, "DDDSU"), 1, 1);
             let mut sim = UeSim::new(
                 vec![c0, c1],
                 None,
@@ -282,10 +293,10 @@ mod tests {
     #[test]
     fn mixed_numerology_ca_ticks_correctly() {
         let pos = Position::new(80.0, 0.0);
-        let n41 = mk_carrier(CellConfig::midband(100, "DDDSU"), 0, pos, 2);
+        let n41 = mk_carrier(CellConfig::midband(100, "DDDSU"), 0, 2);
         let mut n25_cfg = CellConfig::fdd(Band::N25, 20, Numerology::Mu0);
         n25_cfg.band = Band::N25;
-        let n25 = mk_carrier(n25_cfg, 1, pos, 2);
+        let n25 = mk_carrier(n25_cfg, 1, 2);
         let mut sim = UeSim::new(
             vec![n41, n25],
             None,
@@ -309,7 +320,7 @@ mod tests {
     #[test]
     fn lte_only_routing_puts_ul_on_lte() {
         let pos = Position::new(80.0, 0.0);
-        let c = mk_carrier(CellConfig::midband(100, "DDDSU"), 0, pos, 3);
+        let c = mk_carrier(CellConfig::midband(100, "DDDSU"), 0, 3);
         let mut sim = UeSim::new(
             vec![c],
             Some(mk_lte(pos, 3)),
@@ -335,7 +346,7 @@ mod tests {
     #[test]
     fn nr_only_routing_never_uses_lte() {
         let pos = Position::new(80.0, 0.0);
-        let c = mk_carrier(CellConfig::midband(90, "DDDSU"), 0, pos, 4);
+        let c = mk_carrier(CellConfig::midband(90, "DDDSU"), 0, 4);
         let mut sim = UeSim::new(
             vec![c],
             Some(mk_lte(pos, 4)),

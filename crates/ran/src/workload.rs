@@ -58,7 +58,7 @@ pub struct WorkloadStats {
 /// A slot-coupled traffic workload (see the module docs).
 ///
 /// Object-safe: the slot loop owns workloads as `Box<dyn Workload>`
-/// inside [`crate::flow::Flow`], and `Carrier`/`CellSim` stay `Clone`
+/// inside [`crate::flow::Flow`], and `Flow` stays `Clone`
 /// through [`Workload::clone_box`].
 pub trait Workload: std::fmt::Debug + Send {
     /// Bits released toward the queue for the slot starting at `now_s`

@@ -5,21 +5,19 @@
 //! `realloc`, warms a carrier past its transients (scratch-buffer sizing,
 //! TBS-memo fills, HARQ queue high-water mark), and then asserts that tens
 //! of thousands of further slots perform **zero** heap allocations — both
-//! for `ChannelSimulator::step_at` alone and for the full `Carrier::step`
-//! loop. It lives in its own integration-test binary so no concurrently
-//! running test can pollute the counter.
+//! for `ChannelSimulator::step_at` alone and for the full slot of a
+//! one-UE cell, the shape every measurement session steps. It lives in
+//! its own integration-test binary so no concurrently running test can
+//! pollute the counter.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use radio_channel::channel::{ChannelConfig, ChannelSimulator};
 use radio_channel::geometry::{DeploymentLayout, Position};
-use radio_channel::link::LinkModel;
 use radio_channel::mobility::MobilityModel;
 use radio_channel::rng::SeedTree;
-use ran::carrier::{Carrier, TrafficPattern};
-use ran::cell::{CellParams, CellSim, CellSink, UeSpec};
-use ran::config::CellConfig;
+use ran::cell::{CellParams, CellSim, CellSink, TrafficPattern, UeSpec};
 use ran::kpi::SlotKpi;
 use ran::scheduler::SchedulerPolicy;
 
@@ -87,32 +85,35 @@ fn slot_loop_steady_state_is_allocation_free() {
         "ChannelSimulator::step_at allocated {channel_allocs} times in steady state"
     );
 
-    // --- Full Carrier::step at a mid-range spot (BLER ≈ OLLA target, so
-    // HARQ retransmissions and MCS/layer churn are all exercised). ---
-    let cfg = CellConfig::midband(90, "DDDSU");
+    // --- A full one-UE cell slot at a mid-range spot (BLER ≈ OLLA target,
+    // so HARQ retransmissions and MCS/layer churn are all exercised),
+    // moved every slot the way a session moves its carriers. ---
     let spot = Position::new(280.0, 0.0);
-    let channel = ChannelSimulator::new(
-        ChannelConfig::midband_urban(cfg.n_rb),
-        DeploymentLayout::three_site_dense(),
-        MobilityModel::Stationary { position: spot },
-        &seeds,
-    );
-    let mut carrier = Carrier::new(cfg, 0, channel, LinkModel::midband_qam256(), &seeds);
+    let params = CellParams {
+        layout: DeploymentLayout::three_site_dense(),
+        traffic: TrafficPattern::BOTH,
+        ..CellParams::midband(90, SchedulerPolicy::ProportionalFair)
+    };
+    let mut cell = CellSim::single(params, MobilityModel::Stationary { position: spot }, &seeds);
+    let mut sink = FlatStats { delivered_bits: vec![0], records: 0 };
     // Warm-up: fill the TBS memo panels for every slot shape the TDD
     // pattern produces, let OLLA sweep the MCS range, and let the HARQ
     // queues reach their high-water mark.
     for _ in 0..20_000 {
-        carrier.step(spot, 0.0, TrafficPattern::BOTH, true, 1.0, 1.0);
+        cell.move_ue(0, spot, 0.0);
+        cell.step_into(&mut sink);
     }
     let before = allocations();
     for _ in 0..50_000 {
-        carrier.step(spot, 0.0, TrafficPattern::BOTH, true, 1.0, 1.0);
+        cell.move_ue(0, spot, 0.0);
+        cell.step_into(&mut sink);
     }
-    let carrier_allocs = allocations() - before;
+    let cell_allocs = allocations() - before;
     assert_eq!(
-        carrier_allocs, 0,
-        "Carrier::step allocated {carrier_allocs} times in steady state"
+        cell_allocs, 0,
+        "one-UE CellSim::step_into allocated {cell_allocs} times in steady state"
     );
+    assert!(sink.delivered_bits[0] > 0, "the UE received traffic");
 }
 
 /// A sink whose `push` provably cannot allocate: fixed-size pre-sized

@@ -1,16 +1,22 @@
 //! Property-based tests of the RAN simulator's invariants.
 
 use proptest::prelude::*;
-use ran::carrier::{Carrier, TrafficPattern};
+use ran::cell::{CellParams, CellSim, TrafficPattern};
 use ran::config::CellConfig;
 use ran::harq::{HarqConfig, HarqEntity};
-use ran::kpi::Direction;
+use ran::kpi::{Direction, KpiTrace};
 use ran::latency::{run_probes, LatencyProbeConfig};
-use radio_channel::channel::{ChannelConfig, ChannelSimulator};
-use radio_channel::geometry::{DeploymentLayout, Position};
-use radio_channel::link::LinkModel;
+use ran::scheduler::SchedulerPolicy;
+use radio_channel::geometry::Position;
 use radio_channel::mobility::MobilityModel;
 use radio_channel::rng::SeedTree;
+
+/// The records of one UE alone on `params`, `distance` metres from the
+/// site, over `slots` slots.
+fn lone_ue(params: CellParams, distance: f64, seed: u64, slots: u64) -> KpiTrace {
+    let spot = MobilityModel::Stationary { position: Position::new(distance, 0.0) };
+    CellSim::single(params, spot, &SeedTree::new(seed)).run(slots).swap_remove(0)
+}
 
 proptest! {
     /// HARQ conservation: every recorded failure is eventually either
@@ -49,26 +55,13 @@ proptest! {
         seed in 0u64..500,
         bw in prop::sample::select(vec![40u32, 60, 80, 90, 100]),
     ) {
-        let cfg = CellConfig::midband(bw, "DDDSU");
-        let n_rb = cfg.n_rb;
-        let max_layers = cfg.max_dl_layers;
-        let pos = Position::new(distance, 0.0);
-        let seeds = SeedTree::new(seed);
-        let channel = ChannelSimulator::new(
-            ChannelConfig::midband_urban(n_rb),
-            DeploymentLayout::single_site(),
-            MobilityModel::Stationary { position: pos },
-            &seeds,
-        );
-        let mut carrier = Carrier::new(cfg, 0, channel, LinkModel::midband_qam256(), &seeds);
-        let mut trace = ran::kpi::KpiTrace::new();
-        for _ in 0..400 {
-            let out = carrier.step(pos, 0.0, TrafficPattern::BOTH, true, 1.0, 1.0);
-            trace.push(out.dl);
-            if let Some(ul) = out.ul {
-                trace.push(ul);
-            }
-        }
+        let params = CellParams {
+            traffic: TrafficPattern::BOTH,
+            ..CellParams::midband(bw, SchedulerPolicy::ProportionalFair)
+        };
+        let n_rb = params.cell.n_rb;
+        let max_layers = params.cell.max_dl_layers;
+        let trace = lone_ue(params, distance, seed, 400);
         for r in trace.iter() {
             prop_assert!(r.delivered_bits <= r.tbs_bits);
             prop_assert!(r.n_prb <= n_rb);
@@ -110,58 +103,53 @@ proptest! {
         }
     }
 
-    /// The precomputed per-TDD-cycle allocation table is bit-identical to
-    /// the direct scheduler computation across random TDD patterns,
-    /// bandwidths, UL RB fractions, slots and shares — on the table's own
-    /// share (the precomputed lane) and on arbitrary shares (fallthrough).
+    /// The cell's per-TDD-cycle allocation table is bit-identical to the
+    /// direct scheduler computation across random TDD patterns,
+    /// bandwidths, UL RB fractions and reserved DL PRBs: a lone saturating
+    /// UE holds exactly the budget's allocation on every granted slot, and
+    /// gets a UL record exactly on the slots with UL symbols.
     #[test]
-    fn allocation_table_bit_identical_across_patterns(
+    fn frame_table_matches_direct_allocation_across_patterns(
         pattern in prop::sample::select(vec![
             "DDDSU", "DDDDDDDSUU", "DDSU", "DSUUU",
         ]),
         bw in prop::sample::select(vec![40u32, 60, 80, 90, 100]),
         ul_frac in 0.05f64..1.0,
-        table_share in 0.01f64..1.0,
-        probes in prop::collection::vec((0u64..200, 0.01f64..1.0), 1..50),
+        reserved in 0u16..100,
+        seed in 0u64..100,
     ) {
-        use ran::scheduler::{dl_allocation, ul_allocation, AllocationTable};
-        let mut cfg = CellConfig::midband(bw, pattern);
-        cfg.ul_rb_fraction = ul_frac;
-        let table = AllocationTable::new(&cfg, table_share, table_share);
-        for (slot, share) in probes {
-            // The precomputed lane.
-            prop_assert_eq!(
-                table.dl(&cfg, slot, table_share),
-                dl_allocation(&cfg, slot, table_share)
-            );
-            prop_assert_eq!(
-                table.ul(&cfg, slot, table_share),
-                ul_allocation(&cfg, slot, table_share)
-            );
-            prop_assert_eq!(table.has_ul(slot), cfg.ul_symbols(slot) > 0);
-            // Arbitrary shares fall through to the direct computation.
-            prop_assert_eq!(table.dl(&cfg, slot, share), dl_allocation(&cfg, slot, share));
-            prop_assert_eq!(table.ul(&cfg, slot, share), ul_allocation(&cfg, slot, share));
+        use ran::scheduler::{dl_allocation_prbs, ul_allocation_prbs, ul_prb_budget};
+        let mut params = CellParams {
+            cell: CellConfig::midband(bw, pattern),
+            traffic: TrafficPattern::BOTH,
+            reserved_dl_prbs: reserved,
+            ..CellParams::midband(bw, SchedulerPolicy::ProportionalFair)
+        };
+        params.cell.ul_rb_fraction = ul_frac;
+        let cfg = params.cell.clone();
+        let trace = lone_ue(params, 60.0, seed, 60);
+        for slot in 0..60u64 {
+            let ul = trace.iter().find(|r| r.slot == slot && r.direction == Direction::Ul);
+            prop_assert_eq!(ul.is_some(), cfg.ul_symbols(slot) > 0, "slot {}", slot);
+        }
+        for r in trace.iter().filter(|r| r.scheduled) {
+            let alloc = match r.direction {
+                Direction::Dl => dl_allocation_prbs(&cfg, r.slot, cfg.n_rb - reserved),
+                Direction::Ul => ul_allocation_prbs(&cfg, r.slot, ul_prb_budget(&cfg)),
+            }
+            .expect("a granted slot has symbols");
+            prop_assert_eq!((r.n_prb, r.n_re), (alloc.n_prb, alloc.total_re()), "slot {}", r.slot);
         }
     }
 
     /// Throughput accounting: binned series integrate to the same bits as
-    /// the scalar mean, for any carrier run.
+    /// the scalar mean, for any one-UE cell run.
     #[test]
     fn throughput_series_consistency(seed in 0u64..300, distance in 50.0f64..300.0) {
-        let cfg = CellConfig::midband(80, "DDDSU");
-        let pos = Position::new(distance, 0.0);
-        let seeds = SeedTree::new(seed);
-        let channel = ChannelSimulator::new(
-            ChannelConfig::midband_urban(cfg.n_rb),
-            DeploymentLayout::single_site(),
-            MobilityModel::Stationary { position: pos },
-            &seeds,
-        );
-        let mut carrier = Carrier::new(cfg, 0, channel, LinkModel::midband_qam256(), &seeds);
-        let mut trace = ran::kpi::KpiTrace::new();
-        for _ in 0..2000 {
-            trace.push(carrier.step(pos, 0.0, TrafficPattern::DL, false, 1.0, 1.0).dl);
+        let params = CellParams::midband(80, SchedulerPolicy::ProportionalFair);
+        let mut trace = KpiTrace::new();
+        for r in lone_ue(params, distance, seed, 2000).direction(Direction::Dl) {
+            trace.push(r);
         }
         let mean = trace.mean_throughput_mbps(Direction::Dl);
         let series = trace.throughput_series_mbps(Direction::Dl, 0.1);
