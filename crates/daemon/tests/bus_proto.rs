@@ -208,6 +208,18 @@ fn non_utf8_and_non_json_payloads_are_decode_errors() {
 }
 
 #[test]
+fn million_deep_nesting_is_a_decode_error_not_an_abort() {
+    // Under the 16 MiB frame cap, yet deep enough to overflow any stack
+    // a recursive parser could run on.
+    for payload in ["[".repeat(1_000_000), "{\"a\":".repeat(1_000_000)] {
+        match decode_frame::<Request>(&frame_around(payload.as_bytes())) {
+            Err(BusError::Decode { message }) => assert!(message.contains("nesting"), "{message}"),
+            other => panic!("expected Decode, got {other:?}"),
+        }
+    }
+}
+
+#[test]
 fn tier_variants_are_distinguishable_on_the_wire() {
     let encodings: Vec<Vec<u8>> = [Tier::Raw, Tier::Seconds, Tier::Minutes]
         .iter()
