@@ -168,18 +168,6 @@ pub fn figure13(duration_s: f64, seed: u64) -> TimeSeriesView {
     }
 }
 
-/// Cross-metric check used by Fig. 12's discussion: high 5G-parameter
-/// variability should travel with high throughput variability.
-pub fn parameter_tput_correlation(profiles: &[VariabilityProfiles]) -> f64 {
-    let tput_v: Vec<f64> = profiles
-        .iter()
-        .map(|p| p.throughput.last().map(|x| x.variability).unwrap_or(0.0))
-        .collect();
-    let mcs_v: Vec<f64> =
-        profiles.iter().map(|p| p.mcs.last().map(|x| x.variability).unwrap_or(0.0)).collect();
-    analysis::stats::pearson(&tput_v, &mcs_v).unwrap_or(0.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -13,11 +13,10 @@ use crate::fault::{
     run_session_with_faults, run_session_with_faults_into, FaultConfig, FaultSessionRun,
     FaultStats,
 };
-use crate::session::{MobilityKind, SessionResult, SessionSpec, WorkloadResult};
+use crate::session::{MobilityKind, SessionResult, SessionSpec};
 use analysis::OnlineAggregates;
 use operators::Operator;
 use ran::kpi::{KpiTrace, SlotKpi, CHUNK_RECORDS};
-use ran::workload::WorkloadSpec;
 use ran::sink::SlotSink;
 use serde::{Deserialize, Serialize};
 use std::io;
@@ -85,23 +84,6 @@ impl Campaign {
         let _span = obs::span("campaign.run");
         obs::registry().counter("campaign.runs").inc();
         Executor::from_env().run_sessions(&self.specs())
-    }
-
-    /// Run every session with `workload` installed on the DL leg of each
-    /// NR carrier (see [`SessionResult::run_workload`]), across the
-    /// executor's workers. Results come back in spec order and are
-    /// byte-identical across thread counts: workloads draw no randomness,
-    /// so each session stays a pure function of its spec
-    /// (`ran/tests/workload_props.rs`).
-    pub fn run_workload_on(
-        &self,
-        executor: Executor,
-        workload: &WorkloadSpec,
-    ) -> Vec<WorkloadResult> {
-        let _span = obs::span("campaign.run");
-        obs::registry().counter("campaign.runs").inc();
-        let specs = self.specs();
-        executor.map(&specs, |spec| SessionResult::run_workload(*spec, workload))
     }
 
     /// Bounded-memory campaign: stream every session into

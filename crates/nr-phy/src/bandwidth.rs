@@ -36,11 +36,6 @@ impl ChannelBandwidth {
     pub const fn mhz(self) -> u32 {
         self.0 / 1000
     }
-
-    /// Bandwidth in Hz as a float, for link-budget arithmetic.
-    pub fn hz(self) -> f64 {
-        self.0 as f64 * 1e3
-    }
 }
 
 impl std::fmt::Display for ChannelBandwidth {

@@ -206,14 +206,6 @@ impl TddPattern {
         let total: u64 = (0..n).map(|i| self.slots_to_next_ul(i)).sum();
         total as f64 / n as f64
     }
-
-    /// Mean DL alignment delay in slots (analogous to
-    /// [`Self::mean_ul_alignment_slots`]).
-    pub fn mean_dl_alignment_slots(&self) -> f64 {
-        let n = self.slots.len() as u64;
-        let total: u64 = (0..n).map(|i| self.slots_to_next_dl(i)).sum();
-        total as f64 / n as f64
-    }
 }
 
 impl std::fmt::Display for TddPattern {

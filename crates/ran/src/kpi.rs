@@ -517,27 +517,9 @@ impl KpiTrace {
     /// Throughput time series in Mbps, binned at `bin_s` seconds, for a
     /// direction. Bins cover `[0, duration)`; empty bins yield 0.
     pub fn throughput_series_mbps(&self, direction: Direction, bin_s: f64) -> Vec<f64> {
-        let dur = self.duration_s();
-        if dur <= 0.0 || bin_s <= 0.0 {
-            return Vec::new();
-        }
-        let n_bins = ((dur / bin_s).ceil() as usize).max(1);
-        let mut bits = vec![0u64; n_bins];
-        let want_ul = direction == Direction::Ul;
-        for c in &self.chunks {
-            for (i, (&t, &b)) in c.time_s.iter().zip(&c.delivered_bits).enumerate() {
-                if bit_get(&c.ul, i) == want_ul {
-                    let bin = ((t / bin_s) as usize).min(n_bins - 1);
-                    bits[bin] += u64::from(b);
-                }
-            }
-        }
-        bits.into_iter().map(|b| b as f64 / bin_s / 1e6).collect()
+        throughput_series(&self.chunks, self.duration_s(), direction, bin_s, |_, _| true)
     }
 
-    /// Mean goodput over only the time bins whose mean CQI satisfies the
-    /// threshold (`at_least = true`: CQI ≥ threshold; `false`: CQI <
-    /// threshold).
     fn throughput_where_cqi(
         &self,
         direction: Direction,
@@ -545,47 +527,8 @@ impl KpiTrace {
         threshold: u8,
         at_least: bool,
     ) -> Option<f64> {
-        let dur = self.duration_s();
-        if dur <= 0.0 || bin_s <= 0.0 {
-            return None;
-        }
-        let n_bins = ((dur / bin_s).ceil() as usize).max(1);
-        let mut bits = vec![0u64; n_bins];
-        let mut cqi_sum = vec![0u64; n_bins];
-        let mut cqi_n = vec![0u64; n_bins];
-        let want_ul = direction == Direction::Ul;
-        for c in &self.chunks {
-            for (i, (&t, &q)) in c.time_s.iter().zip(&c.cqi).enumerate() {
-                let bin = ((t / bin_s) as usize).min(n_bins - 1);
-                cqi_sum[bin] += u64::from(q);
-                cqi_n[bin] += 1;
-                if bit_get(&c.ul, i) == want_ul {
-                    bits[bin] += u64::from(c.delivered_bits[i]);
-                }
-            }
-        }
-        let mut total_bits = 0u64;
-        let mut total_time = 0.0;
-        for bin in 0..n_bins {
-            if cqi_n[bin] == 0 {
-                continue;
-            }
-            let mean_cqi = cqi_sum[bin] as f64 / cqi_n[bin] as f64;
-            let qualifies = if at_least {
-                mean_cqi >= f64::from(threshold)
-            } else {
-                mean_cqi < f64::from(threshold)
-            };
-            if qualifies {
-                total_bits += bits[bin];
-                total_time += bin_s;
-            }
-        }
-        if total_time > 0.0 {
-            Some(total_bits as f64 / total_time / 1e6)
-        } else {
-            None
-        }
+        let (dur, keep) = (self.duration_s(), |_, _| true);
+        throughput_where_cqi(&self.chunks, dur, direction, bin_s, threshold, at_least, keep)
     }
 
     /// Mean goodput over only the time bins whose mean CQI satisfies
@@ -612,18 +555,6 @@ impl KpiTrace {
         cqi_below: u8,
     ) -> Option<f64> {
         self.throughput_where_cqi(direction, bin_s, cqi_below, false)
-    }
-
-    /// Per-scheduled-slot series of an arbitrary field, with timestamps.
-    pub fn scheduled_series<F: Fn(&SlotKpi) -> f64>(
-        &self,
-        direction: Direction,
-        f: F,
-    ) -> Vec<(f64, f64)> {
-        self.direction(direction)
-            .filter(|r| r.scheduled)
-            .map(|r| (r.time_s, f(&r)))
-            .collect()
     }
 
     /// Fraction of scheduled slots using each modulation order (the paper's
@@ -846,10 +777,6 @@ pub struct FilteredTrace<'a> {
     filter: RecordFilter,
 }
 
-/// Former name of [`FilteredTrace`], kept for callers of the CQI-only
-/// view API.
-pub type CqiFilteredTrace<'a> = FilteredTrace<'a>;
-
 impl FilteredTrace<'_> {
     fn matches(&self, cqi: u8, carrier: u8) -> bool {
         match self.filter {
@@ -942,23 +869,8 @@ impl FilteredTrace<'_> {
     /// at `bin_s` seconds. Bins cover `[0, duration)` of the *view's*
     /// duration; empty bins yield 0.
     pub fn throughput_series_mbps(&self, direction: Direction, bin_s: f64) -> Vec<f64> {
-        let dur = self.duration_s();
-        if dur <= 0.0 || bin_s <= 0.0 {
-            return Vec::new();
-        }
-        let n_bins = ((dur / bin_s).ceil() as usize).max(1);
-        let mut bits = vec![0u64; n_bins];
-        let want_ul = direction == Direction::Ul;
-        for c in &self.trace.chunks {
-            let cols = c.cqi.iter().zip(&c.carrier).zip(c.time_s.iter().zip(&c.delivered_bits));
-            for (i, ((&q, &cr), (&t, &b))) in cols.enumerate() {
-                if self.matches(q, cr) && bit_get(&c.ul, i) == want_ul {
-                    let bin = ((t / bin_s) as usize).min(n_bins - 1);
-                    bits[bin] += u64::from(b);
-                }
-            }
-        }
-        bits.into_iter().map(|b| b as f64 / bin_s / 1e6).collect()
+        let keep = |q, cr| self.matches(q, cr);
+        throughput_series(&self.trace.chunks, self.duration_s(), direction, bin_s, keep)
     }
 
     /// CQI-conditioned mean goodput over the matching records, replicating
@@ -990,52 +902,91 @@ impl FilteredTrace<'_> {
         threshold: u8,
         at_least: bool,
     ) -> Option<f64> {
-        let dur = self.duration_s();
-        if dur <= 0.0 || bin_s <= 0.0 {
-            return None;
-        }
-        let n_bins = ((dur / bin_s).ceil() as usize).max(1);
-        let mut bits = vec![0u64; n_bins];
-        let mut cqi_sum = vec![0u64; n_bins];
-        let mut cqi_n = vec![0u64; n_bins];
-        let want_ul = direction == Direction::Ul;
-        for c in &self.trace.chunks {
-            let cols = c.cqi.iter().zip(&c.carrier).zip(&c.time_s);
-            for (i, ((&q, &cr), &t)) in cols.enumerate() {
-                if !self.matches(q, cr) {
-                    continue;
-                }
+        let (dur, keep) = (self.duration_s(), |q, cr| self.matches(q, cr));
+        throughput_where_cqi(&self.trace.chunks, dur, direction, bin_s, threshold, at_least, keep)
+    }
+}
+
+/// Throughput series in Mbps over the records `keep(cqi, carrier)`
+/// accepts, binned at `bin_s` over `[0, dur)`; empty bins yield 0.
+fn throughput_series(
+    chunks: &[Chunk],
+    dur: f64,
+    direction: Direction,
+    bin_s: f64,
+    keep: impl Fn(u8, u8) -> bool,
+) -> Vec<f64> {
+    if dur <= 0.0 || bin_s <= 0.0 {
+        return Vec::new();
+    }
+    let n_bins = ((dur / bin_s).ceil() as usize).max(1);
+    let mut bits = vec![0u64; n_bins];
+    let want_ul = direction == Direction::Ul;
+    for c in chunks {
+        let cols = c.cqi.iter().zip(&c.carrier).zip(c.time_s.iter().zip(&c.delivered_bits));
+        for (i, ((&q, &cr), (&t, &b))) in cols.enumerate() {
+            if keep(q, cr) && bit_get(&c.ul, i) == want_ul {
                 let bin = ((t / bin_s) as usize).min(n_bins - 1);
-                cqi_sum[bin] += u64::from(q);
-                cqi_n[bin] += 1;
-                if bit_get(&c.ul, i) == want_ul {
-                    bits[bin] += u64::from(c.delivered_bits[i]);
-                }
+                bits[bin] += u64::from(b);
             }
-        }
-        let mut total_bits = 0u64;
-        let mut total_time = 0.0;
-        for bin in 0..n_bins {
-            if cqi_n[bin] == 0 {
-                continue;
-            }
-            let mean_cqi = cqi_sum[bin] as f64 / cqi_n[bin] as f64;
-            let qualifies = if at_least {
-                mean_cqi >= f64::from(threshold)
-            } else {
-                mean_cqi < f64::from(threshold)
-            };
-            if qualifies {
-                total_bits += bits[bin];
-                total_time += bin_s;
-            }
-        }
-        if total_time > 0.0 {
-            Some(total_bits as f64 / total_time / 1e6)
-        } else {
-            None
         }
     }
+    bits.into_iter().map(|b| b as f64 / bin_s / 1e6).collect()
+}
+
+/// Mean goodput over the records `keep(cqi, carrier)` accepts, counting
+/// only the `bin_s` time bins (over `[0, dur)`) whose mean CQI satisfies
+/// the threshold (`at_least = true`: CQI ≥ threshold; `false`: CQI <
+/// threshold). `None` when no bin qualifies.
+fn throughput_where_cqi(
+    chunks: &[Chunk],
+    dur: f64,
+    direction: Direction,
+    bin_s: f64,
+    threshold: u8,
+    at_least: bool,
+    keep: impl Fn(u8, u8) -> bool,
+) -> Option<f64> {
+    if dur <= 0.0 || bin_s <= 0.0 {
+        return None;
+    }
+    let n_bins = ((dur / bin_s).ceil() as usize).max(1);
+    let mut bits = vec![0u64; n_bins];
+    let mut cqi_sum = vec![0u64; n_bins];
+    let mut cqi_n = vec![0u64; n_bins];
+    let want_ul = direction == Direction::Ul;
+    for c in chunks {
+        let cols = c.cqi.iter().zip(&c.carrier).zip(&c.time_s);
+        for (i, ((&q, &cr), &t)) in cols.enumerate() {
+            if !keep(q, cr) {
+                continue;
+            }
+            let bin = ((t / bin_s) as usize).min(n_bins - 1);
+            cqi_sum[bin] += u64::from(q);
+            cqi_n[bin] += 1;
+            if bit_get(&c.ul, i) == want_ul {
+                bits[bin] += u64::from(c.delivered_bits[i]);
+            }
+        }
+    }
+    let mut total_bits = 0u64;
+    let mut total_time = 0.0;
+    for bin in 0..n_bins {
+        if cqi_n[bin] == 0 {
+            continue;
+        }
+        let mean_cqi = cqi_sum[bin] as f64 / cqi_n[bin] as f64;
+        let qualifies = if at_least {
+            mean_cqi >= f64::from(threshold)
+        } else {
+            mean_cqi < f64::from(threshold)
+        };
+        if qualifies {
+            total_bits += bits[bin];
+            total_time += bin_s;
+        }
+    }
+    (total_time > 0.0).then(|| total_bits as f64 / total_time / 1e6)
 }
 
 // ---------------------------------------------------------------------------
